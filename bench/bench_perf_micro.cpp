@@ -1,6 +1,6 @@
 // Micro-performance of the framework's hot paths (google-benchmark):
 // the AES kernel, leakage evaluation, trace synthesis, CPA updates and
-// analysis, TVLA accumulation, the dispatched SIMD ingest kernels (one
+// analysis, TVLA accumulation, the dispatched SIMD kernels (one
 // registration per compiled-and-supported backend, so a single run shows
 // the scalar-vs-vector ladder on this machine), and the full-chip step
 // rate. These bound how fast paper-scale campaigns run (1M traces in
@@ -149,6 +149,39 @@ void BM_CpaAnalyzeByteHd(benchmark::State& state) {
 }
 BENCHMARK(BM_CpaAnalyzeByteHd);
 
+// At 98,304 traces ~78% of a position's 65536 pair bins are occupied,
+// the replay workload's occupancy, and the per-occupied-bin guess-row
+// update sets the cost. Byte 1 pairs with ct[5]; positions 0, 4, 8 and
+// 12 (state row 0, not shifted) pair with themselves and fill only the
+// 256 diagonal bins.
+void BM_CpaAnalyzeByteHdDense(benchmark::State& state) {
+  util::Xoshiro256 rng(21);
+  core::CpaEngine engine({power::PowerModel::rd10_hd});
+  for (int i = 0; i < 98304; ++i) {
+    engine.add_trace(random_block(rng), random_block(rng),
+                     rng.gaussian(0.0, 1.0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.analyze_byte(power::PowerModel::rd10_hd, 1));
+  }
+}
+BENCHMARK(BM_CpaAnalyzeByteHdDense);
+
+void BM_CpaAnalyzeByteRd10Hw(benchmark::State& state) {
+  util::Xoshiro256 rng(22);
+  core::CpaEngine engine({power::PowerModel::rd10_hw});
+  for (int i = 0; i < 10000; ++i) {
+    engine.add_trace(random_block(rng), random_block(rng),
+                     rng.gaussian(0.0, 1.0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        engine.analyze_byte(power::PowerModel::rd10_hw, 0));
+  }
+}
+BENCHMARK(BM_CpaAnalyzeByteRd10Hw);
+
 void BM_TvlaAccumulate(benchmark::State& state) {
   util::Xoshiro256 rng(11);
   core::TvlaAccumulator acc;
@@ -234,6 +267,29 @@ void BM_CpaAddTraceBatch(benchmark::State& state,
   util::simd::reset_backend();
 }
 
+// One occupied histogram bin folded into the 256 guess lanes: the CPA
+// analysis inner step. Items processed = bins; the weight rows (64 KiB)
+// and lanes stay cache-resident.
+void BM_SimdGuessRow(benchmark::State& state, util::simd::Backend backend) {
+  util::simd::force_backend(backend);
+  util::Xoshiro256 rng(23);
+  std::vector<std::uint8_t> rows(256 * util::simd::guess_lanes);
+  for (std::uint8_t& w : rows) {
+    w = static_cast<std::uint8_t>(rng() % 9);
+  }
+  util::simd::GuessSums acc;
+  std::size_t row = 0;
+  for (auto _ : state) {
+    util::simd::accumulate_guess_row(&rows[row * util::simd::guess_lanes],
+                                     3.0, 1.5, acc);
+    row = (row + 1) % 256;
+    benchmark::DoNotOptimize(&acc);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  util::simd::reset_backend();
+}
+
 // ---- PSTR v2 column codec: encode, decode, and the unpack kernel ----
 //
 // One chunk-sized quantized sensor column shaped like a recorded SMC
@@ -313,6 +369,8 @@ void register_simd_benchmarks() {
                                  BM_SimdHistogram16, backend);
     benchmark::RegisterBenchmark(("BM_CpaAddTraceBatch/" + name).c_str(),
                                  BM_CpaAddTraceBatch, backend);
+    benchmark::RegisterBenchmark(("BM_SimdGuessRow/" + name).c_str(),
+                                 BM_SimdGuessRow, backend);
     benchmark::RegisterBenchmark(("BM_SimdUnpackBits/" + name).c_str(),
                                  BM_SimdUnpackBits, backend);
     benchmark::RegisterBenchmark(("BM_DeltaBitpackDecode/" + name).c_str(),

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "aes/sbox.h"
 #include "core/guessing_entropy.h"
 
 namespace psc::core {
@@ -21,6 +22,45 @@ double correlation_from_sums(double n, double sum_m, double sum_mm,
     return 0.0;
   }
   return cov / std::sqrt(var_m * var_t);
+}
+
+// Prediction rows of every model, 256 weights per bin byte, built once
+// from the power::predict_* functions so the model definitions keep one
+// source of truth. Single-byte models: row b, lane g = predict(b, g).
+// Rd10-HD: row ct_src, lane x = HW(x ^ ct_src), the prediction of the
+// guess whose last-round input is x; predict_rd10_hd(0, ct_src, sbox[x])
+// evaluates exactly that, since inv_sbox[0 ^ sbox[x]] == x.
+const std::uint8_t* prediction_rows(power::PowerModel model) {
+  static const std::vector<std::uint8_t> rows = [] {
+    std::vector<std::uint8_t> out(power::all_power_models.size() * 65536);
+    for (const power::PowerModel m : power::all_power_models) {
+      std::uint8_t* table = &out[static_cast<std::size_t>(m) * 65536];
+      for (std::size_t b = 0; b < 256; ++b) {
+        for (std::size_t lane = 0; lane < 256; ++lane) {
+          const auto byte = static_cast<std::uint8_t>(b);
+          const auto l = static_cast<std::uint8_t>(lane);
+          int w = 0;
+          switch (m) {
+            case power::PowerModel::rd0_hw:
+              w = power::predict_rd0_hw(byte, l);
+              break;
+            case power::PowerModel::rd10_hw:
+              w = power::predict_rd10_hw(byte, l);
+              break;
+            case power::PowerModel::rd1_sbox_hw:
+              w = power::predict_rd1_sbox_hw(byte, l);
+              break;
+            case power::PowerModel::rd10_hd:
+              w = power::predict_rd10_hd(0, byte, aes::sbox[lane]);
+              break;
+          }
+          table[b * 256 + lane] = static_cast<std::uint8_t>(w);
+        }
+      }
+    }
+    return out;
+  }();
+  return &rows[static_cast<std::size_t>(model) * 65536];
 }
 
 }  // namespace
@@ -187,75 +227,62 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
   const double n = static_cast<double>(n_);
   const double sum_t = util::simd::reduce_stripes(moments_.sum);
   const double sum_tt = util::simd::reduce_stripes(moments_.sumsq);
+  const std::uint8_t* rows = prediction_rows(model);
 
+  // Bin-major, guess-minor: each occupied bin is folded into all 256
+  // guess lanes at once. Every guess still receives the bins in the same
+  // (byte, or ct_i then ct_src) order, skipping the same empty bins, so
+  // each per-guess sum_mt sees the same additions in the same order as a
+  // guess-at-a-time loop would. sum_m and sum_mm add exact integers
+  // (predictions <= 8, counts < 2^32), so the kernel's w * (w * c) equals
+  // the (m * m) * c of that loop.
+  util::simd::GuessSums acc;
   const auto inputs = power::power_model_inputs(model);
   if (inputs.uses_ciphertext_pair) {
     const std::uint32_t* counts = &pair_count_[byte_index * 65536];
     const double* sums = &pair_sum_[byte_index * 65536];
-    for (int g = 0; g < 256; ++g) {
-      double sum_m = 0.0;
-      double sum_mm = 0.0;
-      double sum_mt = 0.0;
-      for (int ct_i = 0; ct_i < 256; ++ct_i) {
-        const std::size_t row = static_cast<std::size_t>(ct_i) * 256;
-        for (int ct_src = 0; ct_src < 256; ++ct_src) {
-          const std::uint32_t c = counts[row + static_cast<std::size_t>(
-                                                   ct_src)];
-          if (c == 0) {
-            continue;
-          }
-          const double m = power::predict_rd10_hd(
-              static_cast<std::uint8_t>(ct_i),
-              static_cast<std::uint8_t>(ct_src),
-              static_cast<std::uint8_t>(g));
-          sum_m += m * c;
-          sum_mm += m * m * c;
-          sum_mt += m * sums[row + static_cast<std::size_t>(ct_src)];
+    // Within row ct_i, guess g predicts HW(inv_sbox[ct_i ^ g] ^ ct_src):
+    // in lane order x = inv_sbox[ct_i ^ g] that is the fixed row
+    // HW(x ^ ct_src). Permute the accumulators into x order for the row
+    // and back at its end.
+    util::simd::GuessSums lanes;
+    for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
+      for (std::size_t x = 0; x < 256; ++x) {
+        const std::size_t g = aes::sbox[x] ^ ct_i;
+        lanes.m[x] = acc.m[g];
+        lanes.mm[x] = acc.mm[g];
+        lanes.mt[x] = acc.mt[g];
+      }
+      for (std::size_t ct_src = 0; ct_src < 256; ++ct_src) {
+        const std::size_t bin = ct_i * 256 + ct_src;
+        if (counts[bin] != 0) {
+          util::simd::accumulate_guess_row(&rows[ct_src * 256], counts[bin],
+                                           sums[bin], lanes);
         }
       }
-      out.correlation[static_cast<std::size_t>(g)] =
-          correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t, sum_tt);
-    }
-    return out;
-  }
-
-  const std::uint32_t* hist_count =
-      inputs.uses_plaintext ? &pt_count_[byte_index * 256]
-                            : &ct_count_[byte_index * 256];
-  const double* hist_sum = inputs.uses_plaintext
-                               ? &pt_sum_[byte_index * 256]
-                               : &ct_sum_[byte_index * 256];
-  int (*predictor)(std::uint8_t, std::uint8_t) = nullptr;
-  switch (model) {
-    case power::PowerModel::rd0_hw:
-      predictor = power::predict_rd0_hw;
-      break;
-    case power::PowerModel::rd1_sbox_hw:
-      predictor = power::predict_rd1_sbox_hw;
-      break;
-    case power::PowerModel::rd10_hw:
-      predictor = power::predict_rd10_hw;
-      break;
-    case power::PowerModel::rd10_hd:
-      break;  // handled above
-  }
-  for (int g = 0; g < 256; ++g) {
-    double sum_m = 0.0;
-    double sum_mm = 0.0;
-    double sum_mt = 0.0;
-    for (int v = 0; v < 256; ++v) {
-      const std::uint32_t c = hist_count[static_cast<std::size_t>(v)];
-      if (c == 0) {
-        continue;
+      for (std::size_t x = 0; x < 256; ++x) {
+        const std::size_t g = aes::sbox[x] ^ ct_i;
+        acc.m[g] = lanes.m[x];
+        acc.mm[g] = lanes.mm[x];
+        acc.mt[g] = lanes.mt[x];
       }
-      const double m = predictor(static_cast<std::uint8_t>(v),
-                                 static_cast<std::uint8_t>(g));
-      sum_m += m * c;
-      sum_mm += m * m * c;
-      sum_mt += m * hist_sum[static_cast<std::size_t>(v)];
     }
-    out.correlation[static_cast<std::size_t>(g)] =
-        correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t, sum_tt);
+  } else {
+    const std::uint32_t* counts = inputs.uses_plaintext
+                                      ? &pt_count_[byte_index * 256]
+                                      : &ct_count_[byte_index * 256];
+    const double* sums = inputs.uses_plaintext ? &pt_sum_[byte_index * 256]
+                                               : &ct_sum_[byte_index * 256];
+    for (std::size_t v = 0; v < 256; ++v) {
+      if (counts[v] != 0) {
+        util::simd::accumulate_guess_row(&rows[v * 256], counts[v], sums[v],
+                                         acc);
+      }
+    }
+  }
+  for (std::size_t g = 0; g < 256; ++g) {
+    out.correlation[g] = correlation_from_sums(n, acc.m[g], acc.mm[g],
+                                               acc.mt[g], sum_t, sum_tt);
   }
   return out;
 }

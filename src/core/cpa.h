@@ -9,6 +9,15 @@
 // reconstructed from 256 (or 65536) bins — O(1) trace updates and
 // analysis cost independent of the trace count. That is what makes the
 // paper-scale 1M-trace experiments run in seconds.
+//
+// Analysis runs bin-major: each occupied bin costs one 256-lane
+// guess-row update (util/simd.h accumulate_guess_row), folding the bin
+// into all guesses at once; empty bins cost nothing. Every guess still
+// receives its bins in ascending bin order, skipping the same empty
+// bins, so each per-guess sum sees the same floating-point additions in
+// the same order as a guess-at-a-time loop: that ordering is what keeps
+// the correlations bit-identical across SIMD backends and to the
+// guess-major reference the tests carry.
 #pragma once
 
 #include <array>
@@ -133,8 +142,7 @@ class CpaEngine {
   util::AlignedVector<double> ct_sum_;
 
   // Pair histogram for Rd10-HD: bins (ct[i], ct[shift_rows_source(i)]).
-  // Indexed [pos][ct_i * 256 + ct_src]. Stays scalar: at 16x65536 bins it
-  // is cache-miss bound, not ALU bound.
+  // Indexed [pos][ct_i * 256 + ct_src].
   util::AlignedVector<std::uint32_t> pair_count_;
   util::AlignedVector<double> pair_sum_;
 };

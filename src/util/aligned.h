@@ -12,9 +12,21 @@
 #include <new>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define PSC_ALIGNED_HAVE_MMAP 1
+#endif
+
 namespace psc::util {
 
 inline constexpr std::size_t cache_line_bytes = 64;
+
+// Allocations at least this large are mapped straight from the OS where
+// mmap exists, so freeing one unmaps its pages. Through malloc a freed
+// multi-MiB block stays resident in the arena of the thread that
+// allocated it: a daemon whose jobs build 12 MiB pair histograms on many
+// threads keeps such blocks alive in every arena that ever held one.
+inline constexpr std::size_t mapped_allocation_bytes = std::size_t{1} << 20;
 
 // Minimal C++17 aligned allocator: every allocation starts on an
 // `Alignment`-byte boundary.
@@ -36,11 +48,37 @@ struct AlignedAllocator {
     using other = AlignedAllocator<U, Alignment>;
   };
 
+  // Mapped blocks start on a page boundary, which satisfies Alignment.
+  static_assert(Alignment <= 4096,
+                "AlignedAllocator: alignment above the page size");
+
   T* allocate(std::size_t n) {
+    const std::size_t bytes = n * sizeof(T);
+#if defined(PSC_ALIGNED_HAVE_MMAP)
+    if (bytes >= mapped_allocation_bytes) {
+      void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) {
+        throw std::bad_alloc();
+      }
+#if defined(MADV_HUGEPAGE)
+      // A hint: first touch then faults once per 2 MiB huge page
+      // instead of once per 4 KiB page.
+      ::madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+      return static_cast<T*>(p);
+    }
+#endif
     return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
+        ::operator new(bytes, std::align_val_t(Alignment)));
   }
-  void deallocate(T* p, std::size_t) noexcept {
+  void deallocate(T* p, std::size_t n) noexcept {
+#if defined(PSC_ALIGNED_HAVE_MMAP)
+    if (n * sizeof(T) >= mapped_allocation_bytes) {
+      ::munmap(p, n * sizeof(T));
+      return;
+    }
+#endif
     ::operator delete(p, std::align_val_t(Alignment));
   }
 

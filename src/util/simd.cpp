@@ -1,6 +1,7 @@
 #include "util/simd.h"
 
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -213,6 +214,43 @@ __attribute__((target("avx512f"))) void histogram16_avx512(
 #endif  // PSC_SIMD_HAVE_AVX512
 
 // ---------------------------------------------------------------------------
+// Guess-row bodies. The scalar loop has no cross-lane dependency, so gcc
+// vectorizes it at the SSE2 baseline (and on NEON); the AVX2 body widens
+// four weights per step. AVX-512 reuses the AVX2 body.
+
+void guess_row_scalar(const std::uint8_t* weights, double c, double v,
+                      GuessSums& acc) noexcept {
+  for (std::size_t j = 0; j < guess_lanes; ++j) {
+    const double w = weights[j];
+    const double wc = w * c;
+    acc.m[j] += wc;
+    acc.mm[j] += w * wc;
+    acc.mt[j] += w * v;
+  }
+}
+
+#if defined(PSC_SIMD_HAVE_AVX2)
+__attribute__((target("avx2"))) void guess_row_avx2(
+    const std::uint8_t* weights, double c, double v,
+    GuessSums& acc) noexcept {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vv = _mm256_set1_pd(v);
+  for (std::size_t j = 0; j < guess_lanes; j += 4) {
+    std::int32_t packed;
+    std::memcpy(&packed, weights + j, sizeof packed);
+    const __m256d w =
+        _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(packed)));
+    const __m256d wc = _mm256_mul_pd(w, vc);
+    _mm256_store_pd(&acc.m[j], _mm256_add_pd(_mm256_load_pd(&acc.m[j]), wc));
+    _mm256_store_pd(&acc.mm[j], _mm256_add_pd(_mm256_load_pd(&acc.mm[j]),
+                                              _mm256_mul_pd(w, wc)));
+    _mm256_store_pd(&acc.mt[j], _mm256_add_pd(_mm256_load_pd(&acc.mt[j]),
+                                              _mm256_mul_pd(w, vv)));
+  }
+}
+#endif  // PSC_SIMD_HAVE_AVX2
+
+// ---------------------------------------------------------------------------
 // Bit-unpack bodies. Each field (width <= 56) is one shifted 8-byte
 // little-endian window; near the end of the buffer the window is
 // assembled byte-wise so the kernel never reads past packed_bytes. The
@@ -293,23 +331,25 @@ struct KernelTable {
                       std::uint32_t*, double*) noexcept;
   void (*unpack_bits)(const std::byte*, std::size_t, std::uint64_t, unsigned,
                       std::uint64_t*, std::size_t) noexcept;
+  void (*guess_row)(const std::uint8_t*, double, double, GuessSums&) noexcept;
 };
 
 constexpr KernelTable scalar_table{moments_body_scalar, histogram16_scalar,
-                                   unpack_bits_scalar};
+                                   unpack_bits_scalar, guess_row_scalar};
 #if defined(PSC_SIMD_HAVE_SSE2)
 // SSE2 lacks per-lane variable shifts, so its unpack is the scalar body;
 // AVX-512 gains nothing over the AVX2 gather for 4-lane 64-bit windows.
+// The guess row's scalar body is already SSE2 code (auto-vectorized).
 constexpr KernelTable sse2_table{moments_body_sse2, histogram16_scalar,
-                                 unpack_bits_scalar};
+                                 unpack_bits_scalar, guess_row_scalar};
 constexpr KernelTable avx2_table{moments_body_avx2, histogram16_scalar,
-                                 unpack_bits_avx2};
+                                 unpack_bits_avx2, guess_row_avx2};
 constexpr KernelTable avx512_table{moments_body_avx512, histogram16_avx512,
-                                   unpack_bits_avx2};
+                                   unpack_bits_avx2, guess_row_avx2};
 #endif
 #if defined(PSC_SIMD_HAVE_NEON)
 constexpr KernelTable neon_table{moments_body_neon, histogram16_scalar,
-                                 unpack_bits_scalar};
+                                 unpack_bits_scalar, guess_row_scalar};
 #endif
 
 const KernelTable* table_for(Backend backend) noexcept {
@@ -510,6 +550,11 @@ void unpack_bits(const std::byte* packed, std::size_t packed_bytes,
                  std::uint64_t bit0, unsigned width, std::uint64_t* out,
                  std::size_t n) noexcept {
   active_table().unpack_bits(packed, packed_bytes, bit0, width, out, n);
+}
+
+void accumulate_guess_row(const std::uint8_t* weights, double c, double v,
+                          GuessSums& acc) noexcept {
+  active_table().guess_row(weights, c, v, acc);
 }
 
 }  // namespace psc::util::simd

@@ -1,12 +1,14 @@
-// Runtime-dispatched SIMD kernels for the analysis ingest hot path.
+// Runtime-dispatched SIMD kernels for the analysis hot paths.
 //
 // The CPA and TVLA engines accumulate three things per trace: running
 // moment sums of the measured channel value, 16 byte-indexed histograms
 // of (count, value-sum), and — for the pair model — a 16x65536 pair
-// histogram. This header exposes those inner loops as free-function
-// kernels with one implementation per instruction set (scalar, SSE2,
-// AVX2, AVX-512, NEON), selected once at runtime from CPU capabilities —
-// the same per-ISA-dispatch model aes_armv8 set for the cipher.
+// histogram. CPA analysis then folds every occupied histogram bin into
+// 256 per-guess correlation sums. This header exposes those inner loops
+// as free-function kernels with one implementation per instruction set
+// (scalar, SSE2, AVX2, AVX-512, NEON), selected once at runtime from CPU
+// capabilities — the same per-ISA-dispatch model aes_armv8 set for the
+// cipher.
 //
 // Bit-exactness contract
 // ----------------------
@@ -25,6 +27,10 @@
 //    trace at a time (AVX-512 gather/scatter) performs, per bin, the same
 //    floating-point additions in the same trace order as the scalar
 //    position-major loop.
+//  * The guess-row update folds one histogram bin into 256 independent
+//    per-guess lanes: lane j receives only its own products, in call
+//    order, so the 4-lane AVX2 body, the auto-vectorized scalar loop and
+//    every other body perform the same mul-then-add per lane.
 //
 // None of the kernels uses fused multiply-add: x*x + s is always two
 // roundings, matching the portable fallback on every ISA.
@@ -134,6 +140,28 @@ void merge_moments(MomentStripes& a, std::uint64_t na,
 void accumulate_histogram16(const std::uint8_t* blocks, const double* values,
                             std::size_t n, std::uint32_t* count,
                             double* sum) noexcept;
+
+// ---------------------------------------------------------------------------
+// CPA guess-row update (analysis hot loop).
+
+inline constexpr std::size_t guess_lanes = 256;
+
+// Per-lane correlation sums of one CPA analysis: for each lane, the sums
+// of prediction x count, prediction^2 x count and prediction x value-sum
+// over the histogram bins folded in so far.
+struct alignas(64) GuessSums {
+  std::array<double, guess_lanes> m{};
+  std::array<double, guess_lanes> mm{};
+  std::array<double, guess_lanes> mt{};
+};
+
+// Folds one histogram bin (count c, value-sum v) into every lane. For
+// each lane j < guess_lanes, with w = weights[j] as a double:
+//   acc.m[j] += w * c;  acc.mm[j] += w * (w * c);  acc.mt[j] += w * v
+// (mul then add, never fused). Lanes are independent, so every backend
+// performs the same additions per lane and is bit-identical.
+void accumulate_guess_row(const std::uint8_t* weights, double c, double v,
+                          GuessSums& acc) noexcept;
 
 // ---------------------------------------------------------------------------
 // Fixed-width bit-field unpack (store codec decode hot loop).

@@ -377,7 +377,9 @@ class FramingTest : public ::testing::Test {
     store::put_u16(frame.data() + 6, static_cast<std::uint16_t>(type));
     store::put_u32(frame.data() + 8, static_cast<std::uint32_t>(pay.size()));
     store::put_u32(frame.data() + 12, util::crc32(pay.data(), pay.size()));
-    std::memcpy(frame.data() + frame_header_bytes, pay.data(), pay.size());
+    if (!pay.empty()) {
+      std::memcpy(frame.data() + frame_header_bytes, pay.data(), pay.size());
+    }
     return frame;
   }
 

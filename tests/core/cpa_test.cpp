@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -342,6 +345,270 @@ TEST(CpaEngine, AllSimdBackendsMatchScalarBitForBit) {
     }
   }
   simd::reset_backend();
+}
+
+// Oracle for analyze_byte: straightforward guess-major loops (one pass
+// over every bin per guess, predictor called per bin) over histograms
+// and moments the test rebuilds from the raw traces in trace order (the
+// engine's own binning). The engine's bin-major analysis must match it
+// bit-for-bit on every backend.
+struct ReferenceHistograms {
+  std::size_t n = 0;
+  double sum_t = 0.0;
+  double sum_tt = 0.0;
+  std::vector<std::uint32_t> pt_count = std::vector<std::uint32_t>(16 * 256);
+  std::vector<double> pt_sum = std::vector<double>(16 * 256);
+  std::vector<std::uint32_t> ct_count = std::vector<std::uint32_t>(16 * 256);
+  std::vector<double> ct_sum = std::vector<double>(16 * 256);
+  std::vector<std::uint32_t> pair_count =
+      std::vector<std::uint32_t>(16 * 65536);
+  std::vector<double> pair_sum = std::vector<double>(16 * 65536);
+
+  ReferenceHistograms(std::span<const aes::Block> pts,
+                      std::span<const aes::Block> cts,
+                      std::span<const double> values)
+      : n(values.size()) {
+    util::simd::MomentStripes moments;
+    util::simd::accumulate_moments(values.data(), values.size(), 0, moments);
+    sum_t = util::simd::reduce_stripes(moments.sum);
+    sum_tt = util::simd::reduce_stripes(moments.sumsq);
+    for (std::size_t t = 0; t < values.size(); ++t) {
+      for (std::size_t i = 0; i < 16; ++i) {
+        const std::size_t pt_bin = i * 256 + pts[t][i];
+        ++pt_count[pt_bin];
+        pt_sum[pt_bin] += values[t];
+        const std::size_t ct_bin = i * 256 + cts[t][i];
+        ++ct_count[ct_bin];
+        ct_sum[ct_bin] += values[t];
+        const std::size_t pair_bin =
+            i * 65536 + static_cast<std::size_t>(cts[t][i]) * 256 +
+            cts[t][aes::shift_rows_source(i)];
+        ++pair_count[pair_bin];
+        pair_sum[pair_bin] += values[t];
+      }
+    }
+  }
+};
+
+double reference_correlation_from_sums(double n, double sum_m, double sum_mm,
+                                       double sum_mt, double sum_t,
+                                       double sum_tt) noexcept {
+  const double cov = n * sum_mt - sum_m * sum_t;
+  const double var_m = n * sum_mm - sum_m * sum_m;
+  const double var_t = n * sum_tt - sum_t * sum_t;
+  if (var_m <= 0.0 || var_t <= 0.0) {
+    return 0.0;
+  }
+  return cov / std::sqrt(var_m * var_t);
+}
+
+ByteRanking reference_analyze_byte(const ReferenceHistograms& h,
+                                   power::PowerModel model,
+                                   std::size_t byte_index) {
+  ByteRanking out;
+  if (h.n < 2) {
+    return out;
+  }
+  const double n = static_cast<double>(h.n);
+  const double sum_t = h.sum_t;
+  const double sum_tt = h.sum_tt;
+
+  const auto inputs = power::power_model_inputs(model);
+  if (inputs.uses_ciphertext_pair) {
+    const std::uint32_t* counts = &h.pair_count[byte_index * 65536];
+    const double* sums = &h.pair_sum[byte_index * 65536];
+    for (int g = 0; g < 256; ++g) {
+      double sum_m = 0.0;
+      double sum_mm = 0.0;
+      double sum_mt = 0.0;
+      for (int ct_i = 0; ct_i < 256; ++ct_i) {
+        const std::size_t row = static_cast<std::size_t>(ct_i) * 256;
+        for (int ct_src = 0; ct_src < 256; ++ct_src) {
+          const std::uint32_t c = counts[row + static_cast<std::size_t>(
+                                                   ct_src)];
+          if (c == 0) {
+            continue;
+          }
+          const double m = power::predict_rd10_hd(
+              static_cast<std::uint8_t>(ct_i),
+              static_cast<std::uint8_t>(ct_src),
+              static_cast<std::uint8_t>(g));
+          sum_m += m * c;
+          sum_mm += m * m * c;
+          sum_mt += m * sums[row + static_cast<std::size_t>(ct_src)];
+        }
+      }
+      out.correlation[static_cast<std::size_t>(g)] =
+          reference_correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t,
+                                          sum_tt);
+    }
+    return out;
+  }
+
+  const std::uint32_t* hist_count =
+      inputs.uses_plaintext ? &h.pt_count[byte_index * 256]
+                            : &h.ct_count[byte_index * 256];
+  const double* hist_sum = inputs.uses_plaintext
+                               ? &h.pt_sum[byte_index * 256]
+                               : &h.ct_sum[byte_index * 256];
+  int (*predictor)(std::uint8_t, std::uint8_t) = nullptr;
+  switch (model) {
+    case power::PowerModel::rd0_hw:
+      predictor = power::predict_rd0_hw;
+      break;
+    case power::PowerModel::rd1_sbox_hw:
+      predictor = power::predict_rd1_sbox_hw;
+      break;
+    case power::PowerModel::rd10_hw:
+      predictor = power::predict_rd10_hw;
+      break;
+    case power::PowerModel::rd10_hd:
+      break;  // handled above
+  }
+  for (int g = 0; g < 256; ++g) {
+    double sum_m = 0.0;
+    double sum_mm = 0.0;
+    double sum_mt = 0.0;
+    for (int v = 0; v < 256; ++v) {
+      const std::uint32_t c = hist_count[static_cast<std::size_t>(v)];
+      if (c == 0) {
+        continue;
+      }
+      const double m = predictor(static_cast<std::uint8_t>(v),
+                                 static_cast<std::uint8_t>(g));
+      sum_m += m * c;
+      sum_mm += m * m * c;
+      sum_mt += m * hist_sum[static_cast<std::size_t>(v)];
+    }
+    out.correlation[static_cast<std::size_t>(g)] =
+        reference_correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t,
+                                        sum_tt);
+  }
+  return out;
+}
+
+// Traces of one oracle input: AES-128 under a fixed key, values built by
+// `value(rng, trace)` from the encryption's round states.
+struct OracleInput {
+  aes::Block key{};
+  std::vector<aes::Block> pts;
+  std::vector<aes::Block> cts;
+  std::vector<double> values;
+};
+
+template <typename ValueFn>
+OracleInput make_oracle_input(std::uint64_t seed, std::size_t n_traces,
+                              ValueFn value) {
+  util::Xoshiro256 rng(seed);
+  OracleInput in;
+  in.key = random_block(rng);
+  aes::Aes128 cipher(in.key);
+  aes::RoundTrace trace;
+  for (std::size_t t = 0; t < n_traces; ++t) {
+    in.pts.push_back(random_block(rng));
+    in.cts.push_back(cipher.encrypt_trace(in.pts.back(), trace));
+    in.values.push_back(value(rng, trace, t));
+  }
+  return in;
+}
+
+void expect_matches_reference(const OracleInput& in) {
+  namespace simd = util::simd;
+  const std::vector<power::PowerModel> models(
+      power::all_power_models.begin(), power::all_power_models.end());
+  CpaEngine engine(models);
+  engine.add_trace_batch(in.pts, in.cts, in.values);
+  const ReferenceHistograms hist(in.pts, in.cts, in.values);
+  const auto round_keys = aes::Aes128(in.key).round_keys();
+
+  std::vector<ByteRanking> want;
+  for (const power::PowerModel model : models) {
+    for (std::size_t byte = 0; byte < 16; ++byte) {
+      want.push_back(reference_analyze_byte(hist, model, byte));
+    }
+  }
+  for (const simd::Backend backend : simd::supported_backends()) {
+    simd::force_backend(backend);
+    std::size_t k = 0;
+    for (const power::PowerModel model : models) {
+      for (std::size_t byte = 0; byte < 16; ++byte, ++k) {
+        const ByteRanking got = engine.analyze_byte(model, byte);
+        for (std::size_t g = 0; g < 256; ++g) {
+          // Bit patterns, so a signed-zero or NaN difference fails too.
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
+                    std::bit_cast<std::uint64_t>(want[k].correlation[g]))
+              << simd::backend_name(backend) << " "
+              << power::power_model_name(model) << " byte " << byte
+              << " guess " << g << ": " << got.correlation[g] << " vs "
+              << want[k].correlation[g];
+        }
+        const std::uint8_t truth =
+            power::true_key_byte(model, round_keys, byte);
+        for (const std::uint8_t candidate :
+             {truth, want[k].best_guess(), std::uint8_t{0x00},
+              std::uint8_t{0xff}}) {
+          ASSERT_EQ(got.rank_of(candidate), want[k].rank_of(candidate))
+              << simd::backend_name(backend) << " "
+              << power::power_model_name(model) << " byte " << byte;
+        }
+      }
+    }
+  }
+  simd::reset_backend();
+}
+
+double hd_leak(util::Xoshiro256& rng, const aes::RoundTrace& trace) {
+  return aes::hamming_distance(trace.post_add_round_key[9],
+                               trace.post_add_round_key[10]) +
+         rng.gaussian(0.0, 8.0);
+}
+
+TEST(CpaAnalyzeOracle, SparseEngine) {
+  // ~300 traces: most of the 65536 pair bins per position stay empty.
+  expect_matches_reference(make_oracle_input(
+      91, 300,
+      [](util::Xoshiro256& rng, const aes::RoundTrace& trace, std::size_t) {
+        return hd_leak(rng, trace);
+      }));
+}
+
+TEST(CpaAnalyzeOracle, DenseEngine) {
+  // 98,304 traces fill ~78% of the pair bins, like the replay workload.
+  expect_matches_reference(make_oracle_input(
+      92, 98304,
+      [](util::Xoshiro256& rng, const aes::RoundTrace& trace, std::size_t) {
+        return hd_leak(rng, trace);
+      }));
+}
+
+TEST(CpaAnalyzeOracle, NegativeValuesAndExactZeros) {
+  // Signed zeros and negative sums: skipping an empty bin must leave the
+  // per-guess sums exactly as the guess-major loop left them.
+  expect_matches_reference(make_oracle_input(
+      93, 2000,
+      [](util::Xoshiro256& rng, const aes::RoundTrace& trace,
+         std::size_t t) {
+        switch (t % 4) {
+          case 0:
+            return 0.0;
+          case 1:
+            return -0.0;
+          case 2:
+            return -static_cast<double>(
+                aes::hamming_weight(trace.post_add_round_key[0]));
+          default:
+            return -std::abs(rng.gaussian(0.0, 2.0));
+        }
+      }));
+}
+
+TEST(CpaAnalyzeOracle, FewerThanTwoTraces) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}}) {
+    expect_matches_reference(make_oracle_input(
+        94, n,
+        [](util::Xoshiro256& rng, const aes::RoundTrace& trace,
+           std::size_t) { return hd_leak(rng, trace); }));
+  }
 }
 
 TEST(CpaEngine, MergeRejectsMismatchedModelLists) {

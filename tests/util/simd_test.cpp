@@ -253,6 +253,76 @@ TEST(SimdHistogram, AllBackendsBitIdenticalToScalar) {
   }
 }
 
+// A sequence of histogram bins (weight row, count, value-sum) folded
+// into the guess lanes; weights span the full uint8 range, and counts
+// reach 2^32 - 1 so w * (w * c) exercises the exact-product bound.
+struct GuessRowInput {
+  std::vector<std::uint8_t> weights;
+  std::vector<double> counts;
+  std::vector<double> sums;
+};
+
+GuessRowInput random_guess_rows(std::uint64_t seed, std::size_t bins) {
+  util::Xoshiro256 rng(seed);
+  GuessRowInput in;
+  in.weights.resize(bins * guess_lanes);
+  rng.fill_bytes(in.weights);
+  for (std::size_t b = 0; b < bins; ++b) {
+    in.counts.push_back(b % 5 == 0 ? 4294967295.0
+                                   : static_cast<double>(rng() % 1000));
+    in.sums.push_back(rng.gaussian(0.5, 2.0) * in.counts.back());
+  }
+  return in;
+}
+
+GuessSums fold_guess_rows(const GuessRowInput& in) {
+  GuessSums acc;
+  for (std::size_t b = 0; b < in.counts.size(); ++b) {
+    accumulate_guess_row(&in.weights[b * guess_lanes], in.counts[b],
+                         in.sums[b], acc);
+  }
+  return acc;
+}
+
+TEST(SimdGuessRow, ScalarMatchesDirectLoop) {
+  BackendGuard guard;
+  force_backend(Backend::scalar);
+  const auto in = random_guess_rows(61, 40);
+  const GuessSums acc = fold_guess_rows(in);
+  for (std::size_t j = 0; j < guess_lanes; ++j) {
+    double m = 0.0;
+    double mm = 0.0;
+    double mt = 0.0;
+    for (std::size_t b = 0; b < in.counts.size(); ++b) {
+      const double w = in.weights[b * guess_lanes + j];
+      m += w * in.counts[b];
+      mm += w * (w * in.counts[b]);
+      mt += w * in.sums[b];
+    }
+    ASSERT_EQ(acc.m[j], m) << "lane " << j;
+    ASSERT_EQ(acc.mm[j], mm) << "lane " << j;
+    ASSERT_EQ(acc.mt[j], mt) << "lane " << j;
+  }
+}
+
+TEST(SimdGuessRow, AllBackendsBitIdenticalToScalar) {
+  BackendGuard guard;
+  for (const std::size_t bins : {0u, 1u, 3u, 200u}) {
+    const auto in = random_guess_rows(71 + bins, bins);
+    force_backend(Backend::scalar);
+    const GuessSums want = fold_guess_rows(in);
+    for (const Backend backend : supported_backends()) {
+      force_backend(backend);
+      const GuessSums got = fold_guess_rows(in);
+      for (std::size_t j = 0; j < guess_lanes; ++j) {
+        ASSERT_EQ(got.m[j], want.m[j]) << backend_name(backend) << " " << j;
+        ASSERT_EQ(got.mm[j], want.mm[j]) << backend_name(backend) << " " << j;
+        ASSERT_EQ(got.mt[j], want.mt[j]) << backend_name(backend) << " " << j;
+      }
+    }
+  }
+}
+
 TEST(AlignedVector, DataIsCacheLineAligned) {
   AlignedVector<double> v(100);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % cache_line_bytes,
@@ -260,6 +330,19 @@ TEST(AlignedVector, DataIsCacheLineAligned) {
   AlignedVector<std::uint32_t> c(100);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % cache_line_bytes,
             0u);
+  // Blocks at or above mapped_allocation_bytes come from a separate
+  // allocation path; they must be aligned, value-initialized, and
+  // survive a copy and a regrow.
+  AlignedVector<double> big(mapped_allocation_bytes / sizeof(double), 0.0);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % cache_line_bytes,
+            0u);
+  EXPECT_EQ(big.front(), 0.0);
+  EXPECT_EQ(big.back(), 0.0);
+  big.back() = 2.5;
+  AlignedVector<double> copy = big;
+  copy.resize(copy.size() * 2, 1.0);
+  EXPECT_EQ(copy[big.size() - 1], 2.5);
+  EXPECT_EQ(copy.back(), 1.0);
 }
 
 TEST(MomentStripesLayout, CacheLineAligned) {
