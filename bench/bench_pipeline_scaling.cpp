@@ -35,8 +35,8 @@
 //
 // The bus stage serves that v2 artifact from an in-process psc::bus
 // daemon and measures aggregate campaign throughput for 1/2/4 concurrent
-// clients, each submitting a full-dataset CPA job over the shared
-// mapping (jobs pinned to sequential in-job execution, so the number
+// clients, each running 16 full-dataset CPA jobs back to back over the
+// shared mapping (jobs pinned to sequential in-job execution, so the number
 // isolates cross-job concurrency). One served result is cross-checked
 // bit-identical against run_cpa_job invoked directly; the 4-client
 // aggregate must reach PSC_BUS_MIN_SCALING (default 2.0) times the
@@ -48,12 +48,15 @@
 // with its shard units fanned out on the worker pool — budget 4 versus
 // the sequential baseline, bit-identical by construction and checked —
 // and requires PSC_BUS_JOB_MIN_SCALING (default 2.0) speedup, again
-// only with >= 4 hardware threads.
+// only with >= 4 hardware threads. The three scaling gates (workers,
+// bus clients, bus job-parallel) each compare medians of 5 timed reps,
+// taken alternating between the configurations compared.
 //
 // The worker sweep runs the *combined* CPA+TVLA campaign (one
 // acquisition, every analysis) on the persistent worker pool, 1/2/4/8
-// workers at a pinned shard count, and enforces a scaling gate: workers=4
-// must reach PSC_SCALING_MIN_SPEEDUP (default 2.5) times workers=1 —
+// workers at a pinned shard count (median of 5 alternating sweeps per
+// worker count), and enforces a scaling gate: workers=4 must reach
+// PSC_SCALING_MIN_SPEEDUP (default 2.5) times workers=1 —
 // enforced only when the machine actually has >= 4 hardware threads,
 // recorded as "skipped" (with the measured numbers) otherwise, so the
 // gate cannot fail spuriously on small CI runners. A SIMD stage times the
@@ -68,7 +71,7 @@
 //   PSC_MAX_WORKERS=N       highest worker count measured (default 8)
 //   PSC_SCALING_MIN_SPEEDUP=R  min workers=4/workers=1    (default 2.5)
 //   PSC_INGEST_TRACES=N     ingest comparison trace count (default 60000)
-//   PSC_INGEST_REPS=N       timing reps, best-of (default 3)
+//   PSC_INGEST_REPS=N       timing reps, median-of (default 5)
 //   PSC_INGEST_MIN_RATIO=R  minimum batch/legacy ratio    (default 0.95)
 //   PSC_SIMD_MIN_RATIO=R    minimum best-backend/scalar   (default 1.5)
 //   PSC_STORE_TRACES=N      record/replay trace count     (default 60000)
@@ -121,6 +124,20 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+// Timed reps per configuration for the throughput gates (worker sweep,
+// bus N-client, bus job-parallel; the ingest default). Each gate compares
+// medians of this many samples, taken alternating between the
+// configurations it compares, so neither one noisy sample nor one lucky
+// best-of decides a gate.
+constexpr int gate_reps = 5;
+
+// Median of a non-empty sample; the upper median for even sizes.
+double median(std::vector<double> samples) {
+  const auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
 }
 
 // True when both engines hold bit-identical accumulator state, judged by
@@ -202,12 +219,13 @@ int main() {
   const std::vector<power::PowerModel> ingest_models = {
       power::PowerModel::rd0_hw};
 
-  // Best-of-N timing, reps alternating between the paths, so a transient
-  // stall (noisy CI neighbor, page cache warm-up) on one rep cannot fail
-  // the throughput gate.
-  const std::size_t ingest_reps = util::env_size("PSC_INGEST_REPS", 3);
-  double legacy_tps = 0.0;
-  double batch_tps = 0.0;
+  // Median-of-N timing, reps alternating between the paths, so a
+  // transient stall (noisy CI neighbor, page cache warm-up) on one rep
+  // cannot decide the throughput gate either way.
+  const std::size_t ingest_reps =
+      std::max<std::size_t>(1, util::env_size("PSC_INGEST_REPS", gate_reps));
+  std::vector<double> legacy_samples;
+  std::vector<double> batch_samples;
   bool ingest_identical = true;
   {
     std::vector<util::FourCc> channel_probe =
@@ -229,22 +247,22 @@ int main() {
         engine.add_trace(record.plaintext, record.ciphertext,
                          record.values[column]);
       }
-      legacy_tps = std::max(
-          legacy_tps, static_cast<double>(ingest_traces) /
-                          seconds_since(start));
+      legacy_samples.push_back(static_cast<double>(ingest_traces) /
+                               seconds_since(start));
 
       core::LiveTraceSource batch_source(live_config, victim_key, 1);
       util::Xoshiro256 batch_pt_rng(2);
       core::CpaEngine batch_engine(ingest_models);
-      batch_tps = std::max(
-          batch_tps, time_accumulate(batch_source, batch_pt_rng,
-                                     batch_engine, ingest_traces, column));
+      batch_samples.push_back(time_accumulate(
+          batch_source, batch_pt_rng, batch_engine, ingest_traces, column));
 
       // Cross-check: the two paths must accumulate bit-identical state.
       ingest_identical =
           ingest_identical && engines_identical(engine, batch_engine);
     }
   }
+  const double legacy_tps = median(legacy_samples);
+  const double batch_tps = median(batch_samples);
   const double ingest_ratio = legacy_tps > 0.0 ? batch_tps / legacy_tps : 0.0;
   std::cerr << "ingest: legacy " << legacy_tps << " traces/s, batch "
             << batch_tps << " traces/s (ratio " << ingest_ratio << ", "
@@ -492,19 +510,21 @@ int main() {
   // ---- bus: daemon-served campaigns vs concurrent client count ----
   //
   // An in-process BusDaemon serves the compacted v2 artifact over a unix
-  // socket; 1, 2 and 4 concurrent clients each submit one full-dataset
-  // CPA campaign and the aggregate traces/sec is measured per client
-  // count. shard_parallelism is pinned to 1 — each job runs its shards
-  // sequentially — so this number isolates cross-job concurrency on the
-  // shared mapping; in-job shard scaling is measured by the job-parallel
-  // stage below. The gate requires the 4-client aggregate to reach
-  // PSC_BUS_MIN_SCALING (default 2.0) times the single-client aggregate,
-  // enforced only with >= 4 hardware threads; one served result is also
-  // cross-checked bit-for-bit against run_cpa_job invoked directly on
-  // the same file. The daemon's decoded-chunk cache is sampled across
-  // the whole stage (8 jobs over one compressed dataset): decodes must
-  // not exceed the chunk count and the hit rate must reach
-  // PSC_BUS_MIN_CACHE_HIT.
+  // socket; 1, 2 and 4 concurrent clients each run bus_jobs_per_client
+  // full-dataset CPA campaigns back to back and the aggregate traces/sec
+  // is measured per client count — the median of gate_reps windows, the
+  // client counts alternating. shard_parallelism is pinned to 1 — each
+  // job runs its shards sequentially — so this number isolates cross-job
+  // concurrency on the shared mapping; in-job shard scaling is measured
+  // by the job-parallel stage below. The gate requires the 4-client
+  // aggregate to reach PSC_BUS_MIN_SCALING (default 2.0) times the
+  // single-client aggregate, enforced only with >= 4 hardware threads;
+  // one served result is also cross-checked bit-for-bit against
+  // run_cpa_job invoked directly on the same file. The daemon's
+  // decoded-chunk cache is sampled across the whole stage (every job runs
+  // over one compressed dataset): decodes must not exceed the chunk count
+  // and the hit rate must reach PSC_BUS_MIN_CACHE_HIT.
+  constexpr std::size_t bus_jobs_per_client = 16;
   const double bus_min_scaling = util::env_double("PSC_BUS_MIN_SCALING", 2.0);
   const double bus_min_cache_hit =
       util::env_double("PSC_BUS_MIN_CACHE_HIT", 0.5);
@@ -567,6 +587,9 @@ int main() {
       }
     }
 
+    // One timing window: n clients, each holding one connection and
+    // running bus_jobs_per_client jobs back to back, so the window
+    // measures served campaigns rather than connect/submit overhead.
     const auto run_clients = [&](std::size_t n) {
       std::atomic<bool> ok{true};
       std::vector<std::thread> clients;
@@ -575,10 +598,12 @@ int main() {
         clients.emplace_back([&] {
           try {
             bus::BusClient client(bus_config.socket_path);
-            const std::uint64_t id = client.submit_cpa("bench", spec);
-            client.watch(id);
-            if (client.cpa_result(id).traces != store_traces) {
-              ok.store(false);
+            for (std::size_t j = 0; j < bus_jobs_per_client; ++j) {
+              const std::uint64_t id = client.submit_cpa("bench", spec);
+              client.watch(id);
+              if (client.cpa_result(id).traces != store_traces) {
+                ok.store(false);
+              }
             }
           } catch (const std::exception&) {
             ok.store(false);
@@ -588,14 +613,23 @@ int main() {
       for (std::thread& t : clients) {
         t.join();
       }
-      const double tps = static_cast<double>(n * store_traces) /
-                         seconds_since(start);
+      const double tps =
+          static_cast<double>(n * bus_jobs_per_client * store_traces) /
+          seconds_since(start);
       bus_clients_ok = bus_clients_ok && ok.load();
       return tps;
     };
-    bus_tps_1 = run_clients(1);
-    bus_tps_2 = run_clients(2);
-    bus_tps_4 = run_clients(4);
+    std::vector<double> tps_1;
+    std::vector<double> tps_2;
+    std::vector<double> tps_4;
+    for (int rep = 0; rep < gate_reps; ++rep) {
+      tps_1.push_back(run_clients(1));
+      tps_2.push_back(run_clients(2));
+      tps_4.push_back(run_clients(4));
+    }
+    bus_tps_1 = median(tps_1);
+    bus_tps_2 = median(tps_2);
+    bus_tps_4 = median(tps_4);
     {
       bus::BusClient stats_client(bus_config.socket_path);
       bus_stats = stats_client.stats();
@@ -605,9 +639,10 @@ int main() {
   const double bus_scaling = bus_tps_1 > 0.0 ? bus_tps_4 / bus_tps_1 : 0.0;
   const unsigned bus_hw_threads = std::thread::hardware_concurrency();
   const bool bus_gate_enforced = bus_hw_threads >= 4 && bus_tps_4 > 0.0;
-  // Cache verdict over the stage's 8 jobs (1 warm-up + 1 + 2 + 4): the
-  // shared cache must have decoded each compressed chunk at most once,
-  // with every other access a hit.
+  // Cache verdict over every job of the stage (1 warm-up, then
+  // gate_reps x (1 + 2 + 4) clients x bus_jobs_per_client): the shared
+  // cache must have decoded each compressed chunk at most once, with
+  // every other access a hit.
   const double bus_cache_hit_rate =
       bus_stats.cache_hits + bus_stats.cache_misses > 0
           ? static_cast<double>(bus_stats.cache_hits) /
@@ -632,8 +667,8 @@ int main() {
   // The same full-dataset CPA spec, run in-process through run_cpa_job:
   // once sequentially (the default exec — also the bit-identity
   // reference) and once with a shard budget of 4, fanning the 8 shard
-  // units out on the worker pool with merges in shard order. Best of 2
-  // reps each, alternating. The budget-4 run must reach
+  // units out on the worker pool with merges in shard order. Median of
+  // gate_reps reps each, alternating. The budget-4 run must reach
   // PSC_BUS_JOB_MIN_SCALING times sequential throughput (>= 4 hardware
   // threads only) and match it bit-for-bit.
   const double bus_job_min_scaling =
@@ -653,19 +688,19 @@ int main() {
     par_exec.shard_budget = [] { return std::uint32_t{4}; };
 
     const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-    for (int rep = 0; rep < 2; ++rep) {
+    std::vector<double> seq_tps;
+    std::vector<double> par_tps;
+    for (int rep = 0; rep < gate_reps; ++rep) {
       auto start = std::chrono::steady_clock::now();
       const bus::CpaJobResult seq = bus::run_cpa_job(mapping, spec);
-      bus_job_tps_seq =
-          std::max(bus_job_tps_seq, static_cast<double>(seq.traces) /
-                                        seconds_since(start));
+      seq_tps.push_back(static_cast<double>(seq.traces) /
+                        seconds_since(start));
 
       start = std::chrono::steady_clock::now();
       const bus::CpaJobResult par =
           bus::run_cpa_job(mapping, spec, {}, par_exec);
-      bus_job_tps_par =
-          std::max(bus_job_tps_par, static_cast<double>(par.traces) /
-                                        seconds_since(start));
+      par_tps.push_back(static_cast<double>(par.traces) /
+                        seconds_since(start));
 
       for (std::size_t b = 0; bus_job_identical && b < 16; ++b) {
         for (std::size_t g = 0; g < 256; ++g) {
@@ -677,6 +712,8 @@ int main() {
         }
       }
     }
+    bus_job_tps_seq = median(seq_tps);
+    bus_job_tps_par = median(par_tps);
   }
   const double bus_job_scaling =
       bus_job_tps_seq > 0.0 ? bus_job_tps_par / bus_job_tps_seq : 0.0;
@@ -842,30 +879,33 @@ int main() {
     worker_counts.push_back(w);
   }
 
+  // gate_reps sweeps over the worker counts; every run is checked
+  // against the first one (workers=1) for bit-identical results.
   bool identical = true;
+  bool have_reference = false;
   double reference_ge = 0.0;
   std::array<int, 16> reference_ranks{};
   std::vector<core::TvlaMatrix> reference_tvla;
-  double tps_at_1 = 0.0;
-  double tps_at_4 = 0.0;
-  std::string rows;
-  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-    config.workers = worker_counts[i];
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = run_combined_campaign(config);
-    const double seconds = seconds_since(start);
-    const double tps = static_cast<double>(total_traces) / seconds;
-    const auto& final = result.cpa[0].final_results[0];
-    if (i == 0) {
-      reference_ge = final.ge_bits;
-      reference_ranks = final.true_ranks;
-      for (const auto& channel : result.tvla) {
-        reference_tvla.push_back(channel.matrix);
-      }
-    } else {
-      if (final.ge_bits != reference_ge ||
-          final.true_ranks != reference_ranks ||
-          result.tvla.size() != reference_tvla.size()) {
+  std::vector<std::vector<double>> sweep_seconds(worker_counts.size());
+  std::vector<double> sweep_ge(worker_counts.size());
+  for (int rep = 0; rep < gate_reps; ++rep) {
+    for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+      config.workers = worker_counts[i];
+      const auto start = std::chrono::steady_clock::now();
+      const auto result = run_combined_campaign(config);
+      sweep_seconds[i].push_back(seconds_since(start));
+      const auto& final = result.cpa[0].final_results[0];
+      sweep_ge[i] = final.ge_bits;
+      if (!have_reference) {
+        have_reference = true;
+        reference_ge = final.ge_bits;
+        reference_ranks = final.true_ranks;
+        for (const auto& channel : result.tvla) {
+          reference_tvla.push_back(channel.matrix);
+        }
+      } else if (final.ge_bits != reference_ge ||
+                 final.true_ranks != reference_ranks ||
+                 result.tvla.size() != reference_tvla.size()) {
         identical = false;
       } else {
         for (std::size_t c = 0; c < reference_tvla.size(); ++c) {
@@ -875,20 +915,28 @@ int main() {
         }
       }
     }
-    if (config.workers == 1) {
+  }
+  double tps_at_1 = 0.0;
+  double tps_at_4 = 0.0;
+  std::string rows;
+  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+    const std::size_t workers = worker_counts[i];
+    const double seconds = median(sweep_seconds[i]);
+    const double tps = static_cast<double>(total_traces) / seconds;
+    if (workers == 1) {
       tps_at_1 = tps;
-    } else if (config.workers == 4) {
+    } else if (workers == 4) {
       tps_at_4 = tps;
     }
     if (!rows.empty()) {
       rows += ",";
     }
-    rows += "{\"workers\":" + std::to_string(config.workers) +
+    rows += "{\"workers\":" + std::to_string(workers) +
             ",\"seconds\":" + util::format_double(seconds) +
             ",\"traces_per_sec\":" + util::format_double(tps) +
-            ",\"ge_bits\":" + util::format_double(final.ge_bits) + "}";
-    std::cerr << "workers=" << config.workers << " " << seconds << "s ("
-              << tps << " traces/s)\n";
+            ",\"ge_bits\":" + util::format_double(sweep_ge[i]) + "}";
+    std::cerr << "workers=" << workers << " " << seconds << "s (" << tps
+              << " traces/s, median of " << gate_reps << ")\n";
   }
 
   // Scaling gate: workers=4 must beat workers=1 by min_speedup — but only

@@ -24,16 +24,7 @@ std::size_t shard_begin(std::size_t total, std::size_t shards,
   return s * (total / shards) + std::min(s, total % shards);
 }
 
-namespace {
-
-// Set while a pool thread (or the caller) is inside a generation's job;
-// a nested run() from a shard job executes inline instead of touching
-// the generation state it is itself running under.
-thread_local bool tl_in_pool_job = false;
-
-}  // namespace
-
-// One post()ed side job. state transitions under mu_: queued -> running
+// One post()ed job. state transitions under mu_: queued -> running
 // (claimed by a worker, or erased from the deque by a stealing finish())
 // -> done. fn itself runs outside the lock.
 struct WorkerPool::AsyncJob {
@@ -76,100 +67,20 @@ void WorkerPool::ensure_threads(std::size_t helpers) {
 
 void WorkerPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
-  // 0 = "no generation seen yet": a thread spawned mid-generation (the
-  // generation counter was already bumped under this same mutex before
-  // the spawn) must still see it as new and join it.
-  std::uint64_t seen = 0;
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return shutdown_ || generation_ != seen || !async_jobs_.empty();
-    });
+    work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
     if (shutdown_) {
       return;
     }
-    // Async jobs are checked before the generation-skip path below: a
-    // thread that already saw the current (closed) generation must still
-    // drain the async queue instead of spinning back to sleep.
-    if (!async_jobs_.empty()) {
-      std::shared_ptr<AsyncJob> job = std::move(async_jobs_.front());
-      async_jobs_.pop_front();
-      job->state = AsyncJob::running;
-      lock.unlock();
-      tl_in_pool_job = true;
-      job->fn();
-      tl_in_pool_job = false;
-      lock.lock();
-      job->state = AsyncJob::done;
-      async_cv_.notify_all();
-      continue;
-    }
-    seen = generation_;
-    if (!open_ || joined_ >= max_joiners_) {
-      continue;  // generation already closed or fully staffed
-    }
-    ++joined_;
-    ++active_;
-    const std::function<void(std::size_t)>* fn = fn_;
-    const std::size_t jobs = jobs_;
+    std::shared_ptr<AsyncJob> job = std::move(queue_.front());
+    queue_.pop_front();
+    job->state = AsyncJob::running;
     lock.unlock();
-    tl_in_pool_job = true;
-    for (;;) {
-      const std::size_t s = next_.fetch_add(1, std::memory_order_relaxed);
-      if (s >= jobs) {
-        break;
-      }
-      (*fn)(s);
-    }
-    tl_in_pool_job = false;
+    job->fn();
     lock.lock();
-    if (--active_ == 0) {
-      done_cv_.notify_all();
-    }
+    job->state = AsyncJob::done;
+    done_cv_.notify_all();
   }
-}
-
-void WorkerPool::run(std::size_t jobs, std::size_t participants,
-                     const std::function<void(std::size_t)>& fn) {
-  if (jobs == 0) {
-    return;
-  }
-  if (participants <= 1 || jobs == 1 || tl_in_pool_job) {
-    for (std::size_t s = 0; s < jobs; ++s) {
-      fn(s);
-    }
-    return;
-  }
-  // One generation at a time: a second campaign thread queues here
-  // rather than corrupting the published generation.
-  std::lock_guard<std::mutex> run_lock(run_mu_);
-  const std::size_t helpers = std::min(participants - 1, jobs - 1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ensure_threads(helpers);
-    fn_ = &fn;
-    jobs_ = jobs;
-    max_joiners_ = helpers;
-    joined_ = 0;
-    active_ = 0;
-    next_.store(0, std::memory_order_relaxed);
-    open_ = true;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  // The caller is always a participant.
-  tl_in_pool_job = true;
-  for (;;) {
-    const std::size_t s = next_.fetch_add(1, std::memory_order_relaxed);
-    if (s >= jobs) {
-      break;
-    }
-    fn(s);
-  }
-  tl_in_pool_job = false;
-  std::unique_lock<std::mutex> lock(mu_);
-  open_ = false;  // late wakers skip this generation entirely
-  done_cv_.wait(lock, [&] { return active_ == 0; });
-  fn_ = nullptr;
 }
 
 WorkerPool::AsyncTicket WorkerPool::post(std::function<void()> fn) {
@@ -179,9 +90,9 @@ WorkerPool::AsyncTicket WorkerPool::post(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ensure_threads(1);
-    async_jobs_.push_back(ticket.job_);
+    queue_.push_back(ticket.job_);
   }
-  work_cv_.notify_all();
+  work_cv_.notify_one();
   return ticket;
 }
 
@@ -194,9 +105,9 @@ bool WorkerPool::finish(AsyncTicket& ticket) {
   if (job->state == AsyncJob::queued) {
     // No worker has claimed it: steal it back and run inline. This is
     // what makes finish() deadlock-free — a caller that is itself a pool
-    // job (sharded replay) never blocks on a queue no thread can drain.
-    async_jobs_.erase(
-        std::find(async_jobs_.begin(), async_jobs_.end(), job));
+    // job (a nested map, sharded replay) never blocks on a queue no
+    // thread can drain.
+    queue_.erase(std::find(queue_.begin(), queue_.end(), job));
     job->state = AsyncJob::running;
     lock.unlock();
     job->fn();
@@ -204,7 +115,7 @@ bool WorkerPool::finish(AsyncTicket& ticket) {
     job->state = AsyncJob::done;
     return false;
   }
-  async_cv_.wait(lock, [&] { return job->state == AsyncJob::done; });
+  done_cv_.wait(lock, [&] { return job->state == AsyncJob::done; });
   return true;
 }
 

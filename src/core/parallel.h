@@ -17,29 +17,28 @@
 //           count, because per-shard work is self-contained and merges
 //           happen in shard order on the calling thread.
 //
-// Worker-pool lifecycle
-// ---------------------
+// Worker-pool scheduling
+// ----------------------
 // Shard jobs execute on a process-wide persistent WorkerPool rather than
-// threads spawned per map() call. The pool starts empty; the first
-// multi-worker map() spawns its helper threads, which then sleep between
-// campaigns and are reused by every later runner (threads are added but
-// never retired until process exit). One map() call publishes its shard
-// jobs as a *generation*: up to workers-1 pool threads join the
-// generation and claim shard indices from a shared atomic ticket
-// alongside the calling thread, which always participates. map() returns
-// only after every job finished AND every joined pool thread has left the
-// generation, so no pool thread can touch a caller's stack frame after
-// the call — late-waking threads see the generation closed and go back
-// to sleep without joining. Exceptions never cross the pool boundary:
-// map() captures per-shard exceptions and rethrows the lowest-indexed
-// one on the calling thread.
+// threads spawned per map() call. The pool has one scheduling protocol:
+// a FIFO of posted jobs, each redeemed with finish(). It starts empty,
+// grows on demand, and keeps its threads until process exit, so later
+// campaigns reuse the threads earlier ones spawned. map() keeps a shard
+// counter local to the call, posts workers-1 helper loops that claim
+// shard indices from it, runs the same loop on the calling thread, and
+// then finishes every helper. finish() steals back a helper no pool
+// thread has started yet; it returns at once because the counter is
+// exhausted. So a map() never waits on a queue no thread can drain — a
+// map() from inside a pool job cannot deadlock — and maps issued from
+// different threads share the queue and run side by side. Exceptions
+// never cross the pool boundary: map() captures per-shard exceptions and
+// rethrows the lowest-indexed one on the calling thread.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -85,24 +84,15 @@ struct ShardPlan {
   }
 };
 
-// Process-wide persistent worker pool (see "Worker-pool lifecycle"
-// above). ParallelRunner::map is the intended interface; the pool is
-// public for tests and benches that assert on reuse.
+// Process-wide persistent worker pool (see "Worker-pool scheduling"
+// above). ParallelRunner::map is the intended interface for shard
+// fan-out; post()/finish() also serve side jobs (the store prefetcher)
+// and bus shard units (JobGroup).
 class WorkerPool {
   struct AsyncJob;  // private; defined in parallel.cpp
 
  public:
   static WorkerPool& instance();
-
-  // Runs fn(job) for every job in [0, jobs): the calling thread plus up
-  // to participants-1 pool threads claim job indices from a shared
-  // ticket. Returns when all jobs completed and no pool thread still
-  // references fn. fn must not throw (ParallelRunner::map wraps shard
-  // exceptions before they reach the pool). Concurrent run() calls
-  // serialize; a run() from inside a pool job executes inline on the
-  // caller.
-  void run(std::size_t jobs, std::size_t participants,
-           const std::function<void(std::size_t)>& fn);
 
   // Handle to one post()ed side job; redeem with finish(). Default
   // tickets and already-finished tickets are empty (finish() is a no-op
@@ -119,19 +109,19 @@ class WorkerPool {
     std::shared_ptr<AsyncJob> job_;
   };
 
-  // Enqueues one side job for any idle pool thread — the async leg of a
-  // double-buffered producer/consumer (the store prefetcher decodes
-  // chunk N+1 here while the caller ingests chunk N). fn must not throw;
-  // it runs exactly once, on a pool thread or inline in finish().
+  // Enqueues one job for any idle pool thread: a map() helper loop, or
+  // the async leg of a double-buffered producer/consumer (the store
+  // prefetcher decodes chunk N+1 here while the caller ingests chunk N).
+  // fn must not throw; it runs exactly once, on a pool thread or inline
+  // in finish().
   AsyncTicket post(std::function<void()> fn);
 
   // Waits until the ticket's job has run and empties the ticket. If no
   // pool thread has claimed the job yet it is stolen back and run inline
   // on the caller — so finish() never deadlocks, even when every pool
-  // thread is parked inside a run() generation that is itself waiting on
-  // this job. Returns true iff the job ran on a pool thread (the
-  // prefetcher's async-hit statistic); false for inline execution or an
-  // empty ticket.
+  // thread is busy with jobs that are themselves waiting on this one.
+  // Returns true iff the job ran on a pool thread (the prefetcher's
+  // async-hit statistic); false for inline execution or an empty ticket.
   bool finish(AsyncTicket& ticket);
 
   // Bounded fan-out of post()ed jobs, drained strictly in post order —
@@ -175,11 +165,12 @@ class WorkerPool {
     std::deque<AsyncTicket> tickets_;
   };
 
-  // Grows the pool to at least `threads` pool threads up front. post()
-  // alone only guarantees one pool thread, so a server expecting N
-  // concurrent posted jobs (the bus daemon's job executor) reserves its
-  // concurrency target once at startup instead of having posted jobs
-  // queue behind each other. Never shrinks; safe to call concurrently.
+  // Grows the pool to at least `threads` pool threads. post() alone only
+  // guarantees one pool thread. ParallelRunner::map sizes the pool from
+  // its plan (workers - 1 helpers) on every call. Bus jobs post their
+  // shard units through a JobGroup without sizing, so they rely on the
+  // daemon reserving its concurrency target once at startup. Never
+  // shrinks; safe to call concurrently.
   void reserve(std::size_t threads);
 
   // Pool threads spawned so far (grow-only); exposed so tests can assert
@@ -197,24 +188,11 @@ class WorkerPool {
   void ensure_threads(std::size_t helpers);  // caller holds mu_
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // new generation or async job
-  std::condition_variable done_cv_;   // last active thread left
-  std::condition_variable async_cv_;  // an async job completed
+  std::condition_variable work_cv_;  // a job was posted, or shutdown
+  std::condition_variable done_cv_;  // a job completed
   std::vector<std::thread> threads_;
-  std::deque<std::shared_ptr<AsyncJob>> async_jobs_;  // posted, unclaimed
+  std::deque<std::shared_ptr<AsyncJob>> queue_;  // posted, unclaimed
   bool shutdown_ = false;
-
-  // Current generation, all guarded by mu_ except the ticket.
-  std::uint64_t generation_ = 0;
-  bool open_ = false;  // still accepting joiners
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t jobs_ = 0;
-  std::size_t max_joiners_ = 0;
-  std::size_t joined_ = 0;
-  std::size_t active_ = 0;
-  std::atomic<std::size_t> next_{0};
-
-  std::mutex run_mu_;  // serializes whole run() calls
 };
 
 // Near-equal contiguous partition of `total` items into `shards` pieces:
@@ -238,31 +216,40 @@ class ParallelRunner {
   // WorkerPool and returns the results ordered by shard index, so
   // downstream merges are deterministic regardless of which worker
   // finished first. If shard jobs throw, the exception of the
-  // lowest-indexed failing shard is rethrown after all workers have left
-  // the generation.
+  // lowest-indexed failing shard is rethrown once every helper has
+  // finished.
   template <typename Fn>
   auto map(Fn&& fn) {
     using Partial = std::invoke_result_t<Fn&, std::size_t>;
     const std::size_t n = shards();
     std::vector<std::optional<Partial>> slots(n);
-    const std::size_t participants = std::min(workers(), n);
-    if (participants <= 1) {
-      for (std::size_t s = 0; s < n; ++s) {
-        slots[s].emplace(fn(s));
-      }
-    } else {
-      std::vector<std::exception_ptr> errors(n);
-      WorkerPool::instance().run(n, participants, [&](std::size_t s) {
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    // Claims shard indices until none are left; the caller and every
+    // helper run this same loop.
+    const auto drain = [&] {
+      for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+           s < n; s = next.fetch_add(1, std::memory_order_relaxed)) {
         try {
           slots[s].emplace(fn(s));
         } catch (...) {
           errors[s] = std::current_exception();
         }
-      });
-      for (const auto& error : errors) {
-        if (error) {
-          std::rethrow_exception(error);
-        }
+      }
+    };
+    // With one worker nothing is posted and every shard runs inline.
+    const std::size_t helpers = std::min(workers(), n) - 1;
+    WorkerPool& pool = WorkerPool::instance();
+    pool.reserve(helpers);
+    WorkerPool::JobGroup group(pool);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      group.post(drain);
+    }
+    drain();
+    group.finish_all();
+    for (const auto& error : errors) {
+      if (error) {
+        std::rethrow_exception(error);
       }
     }
     std::vector<Partial> out;

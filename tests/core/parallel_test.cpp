@@ -4,8 +4,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "core/campaigns.h"
 #include "core/guessing_entropy.h"
@@ -155,6 +159,68 @@ TEST(ParallelRunner, PropagatesLowestShardException) {
   }
 }
 
+// Two campaigns mapping from different threads share the pool's job
+// queue instead of queueing behind each other: every shard of each map
+// waits (bounded) until a shard of the other map has started, which can
+// only happen when both maps are in flight at once.
+TEST(ParallelRunner, ConcurrentMapsRunSideBySide) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::array<int, 2> started{};
+  int timeouts = 0;
+  const auto campaign = [&](int self) {
+    ParallelRunner runner({.workers = 2, .shards = 2});
+    runner.for_each([&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started[self];
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(2),
+                       [&] { return started[1 - self] > 0; })) {
+        ++timeouts;
+      }
+    });
+  };
+  std::thread a(campaign, 0);
+  std::thread b(campaign, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(started[0], 2);
+  EXPECT_EQ(started[1], 2);
+}
+
+// Every shard runs exactly once per map, across many back-to-back maps
+// (the reuse path a campaign sweep exercises).
+TEST(ParallelRunner, EachShardRunsExactlyOncePerMap) {
+  for (int round = 0; round < 20; ++round) {
+    constexpr std::size_t jobs = 16;
+    std::array<std::atomic<int>, jobs> hits{};
+    ParallelRunner({.workers = 4, .shards = jobs}).for_each([&](std::size_t s) {
+      hits[s].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t s = 0; s < jobs; ++s) {
+      ASSERT_EQ(hits[s].load(), 1) << "round " << round << " job " << s;
+    }
+  }
+}
+
+// A map() from inside a shard job — which may itself run on a pool
+// thread — completes every inner shard without disturbing the outer map.
+TEST(ParallelRunner, NestedMapRunsEveryShardOnce) {
+  std::array<std::atomic<int>, 4> outer_hits{};
+  std::atomic<int> inner_total{0};
+  ParallelRunner({.workers = 4, .shards = 4}).for_each([&](std::size_t s) {
+    outer_hits[s].fetch_add(1, std::memory_order_relaxed);
+    ParallelRunner({.workers = 4, .shards = 3}).for_each([&](std::size_t) {
+      inner_total.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(outer_hits[s].load(), 1);
+  }
+  EXPECT_EQ(inner_total.load(), 12);
+}
+
 // ---------- persistent worker pool ----------
 
 // The pool persists across runner invocations: helper threads spawned by
@@ -172,38 +238,6 @@ TEST(WorkerPool, ThreadsPersistAcrossRunners) {
     }
     EXPECT_EQ(WorkerPool::instance().thread_count(), after_first);
   }
-}
-
-// Every job index runs exactly once per generation, across many
-// back-to-back generations (the reuse path a campaign sweep exercises).
-TEST(WorkerPool, EachJobRunsExactlyOncePerGeneration) {
-  for (int round = 0; round < 20; ++round) {
-    constexpr std::size_t jobs = 16;
-    std::array<std::atomic<int>, jobs> hits{};
-    WorkerPool::instance().run(jobs, 4, [&](std::size_t s) {
-      hits[s].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t s = 0; s < jobs; ++s) {
-      ASSERT_EQ(hits[s].load(), 1) << "round " << round << " job " << s;
-    }
-  }
-}
-
-// A run() from inside a pool job must not corrupt the outer generation —
-// it executes inline on the calling worker.
-TEST(WorkerPool, NestedRunExecutesInline) {
-  std::array<std::atomic<int>, 4> outer_hits{};
-  std::atomic<int> inner_total{0};
-  WorkerPool::instance().run(4, 4, [&](std::size_t s) {
-    outer_hits[s].fetch_add(1, std::memory_order_relaxed);
-    WorkerPool::instance().run(3, 4, [&](std::size_t) {
-      inner_total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(outer_hits[s].load(), 1);
-  }
-  EXPECT_EQ(inner_total.load(), 12);
 }
 
 // reserve() pre-spawns pool threads so N posted jobs can run truly
@@ -314,7 +348,7 @@ TEST(WorkerPoolAsync, ManyOutstandingJobsAllComplete) {
 TEST(WorkerPoolAsync, FinishInsidePoolJobNeverDeadlocks) {
   constexpr std::size_t shards = 8;
   std::array<std::atomic<int>, shards> hits{};
-  WorkerPool::instance().run(shards, 4, [&](std::size_t s) {
+  ParallelRunner({.workers = 4, .shards = shards}).for_each([&](std::size_t s) {
     auto ticket = WorkerPool::instance().post(
         [&hits, s] { hits[s].fetch_add(1, std::memory_order_relaxed); });
     WorkerPool::instance().finish(ticket);
@@ -324,16 +358,16 @@ TEST(WorkerPoolAsync, FinishInsidePoolJobNeverDeadlocks) {
   }
 }
 
-// Async jobs posted while a generation is in flight complete, and the
-// generation still runs every job exactly once.
-TEST(WorkerPoolAsync, InterleavesWithRunGenerations) {
+// Async jobs posted while a map is in flight complete, and the map still
+// runs every shard exactly once.
+TEST(WorkerPoolAsync, InterleavesWithMaps) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> async_hits{0};
     auto ticket = WorkerPool::instance().post(
         [&] { async_hits.fetch_add(1, std::memory_order_relaxed); });
     constexpr std::size_t jobs = 8;
     std::array<std::atomic<int>, jobs> hits{};
-    WorkerPool::instance().run(jobs, 4, [&](std::size_t s) {
+    ParallelRunner({.workers = 4, .shards = jobs}).for_each([&](std::size_t s) {
       hits[s].fetch_add(1, std::memory_order_relaxed);
     });
     WorkerPool::instance().finish(ticket);
