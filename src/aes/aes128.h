@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace psc::aes {
@@ -83,11 +84,7 @@ constexpr std::size_t shift_rows_source(std::size_t i) noexcept {
 
 // Hamming weight of one byte.
 constexpr int hamming_weight(std::uint8_t b) noexcept {
-  int count = 0;
-  for (int i = 0; i < 8; ++i) {
-    count += (b >> i) & 1;
-  }
-  return count;
+  return std::popcount(b);
 }
 
 // Hamming weight of a 16-byte block (0..128).

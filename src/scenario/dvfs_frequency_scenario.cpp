@@ -35,14 +35,6 @@ namespace {
 
 constexpr std::size_t popcount_block_bits = 128;
 
-std::size_t block_popcount(const aes::Block& block) noexcept {
-  std::size_t bits = 0;
-  for (const std::uint8_t byte : block) {
-    bits += static_cast<std::size_t>(__builtin_popcount(byte));
-  }
-  return bits;
-}
-
 struct DvfsProbeConfig {
   soc::DeviceProfile profile;
   bool lowpower = true;
@@ -78,7 +70,7 @@ class DvfsFrequencyProbe final : public ChannelProbe {
     output = input;  // the workload produces no ciphertext
 
     const double intensity =
-        config_.leak ? static_cast<double>(block_popcount(input)) /
+        config_.leak ? static_cast<double>(aes::hamming_weight(input)) /
                            popcount_block_bits
                      : 0.5;
 

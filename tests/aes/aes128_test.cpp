@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "aes/sbox.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -203,6 +206,106 @@ TEST(Hamming, BlockWeightAndDistance) {
   EXPECT_EQ(hamming_weight(ones), 128);
   EXPECT_EQ(hamming_distance(zeros, ones), 128);
   EXPECT_EQ(hamming_distance(ones, ones), 0);
+}
+
+// Oracle for the word-wide round kernel: the byte-wise round composition
+// built from the public primitives, one transform at a time.
+Block reference_encrypt_trace(const Aes128& cipher, const Block& plaintext,
+                              RoundTrace& trace) {
+  const auto& keys = cipher.round_keys();
+  Block state = plaintext;
+  add_round_key(state, keys[0]);
+  trace.post_add_round_key[0] = state;
+  for (std::size_t round = 1; round <= num_rounds; ++round) {
+    sub_bytes(state);
+    trace.post_sub_bytes[round - 1] = state;
+    shift_rows(state);
+    if (round < num_rounds) {
+      mix_columns(state);
+    }
+    add_round_key(state, keys[round]);
+    trace.post_add_round_key[round] = state;
+  }
+  return state;
+}
+
+// Oracle for the word-wide popcounts: one bit at a time.
+int reference_hamming_distance(const Block& a, const Block& b) {
+  int total = 0;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const unsigned diff = static_cast<unsigned>(a[i] ^ b[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      total += static_cast<int>((diff >> bit) & 1U);
+    }
+  }
+  return total;
+}
+
+int reference_hamming_weight(const Block& block) {
+  return reference_hamming_distance(block, Block{});
+}
+
+TEST(AesKernelOracle, RoundTraceMatchesByteWiseComposition) {
+  constexpr std::uint64_t keys = 64;
+  constexpr int plaintexts_per_key = 10000;
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    util::Xoshiro256 rng(0x5eed0000 + k);
+    Block key;
+    rng.fill_bytes(key);
+    const Aes128 cipher(key);
+    int mismatches = 0;
+    for (int i = 0; i < plaintexts_per_key; ++i) {
+      Block pt;
+      rng.fill_bytes(pt);
+      RoundTrace expected;
+      const Block expected_ct = reference_encrypt_trace(cipher, pt, expected);
+      RoundTrace actual;
+      const Block ct = cipher.encrypt_trace(pt, actual);
+      const bool same =
+          ct == expected_ct && cipher.encrypt(pt) == expected_ct &&
+          actual.post_add_round_key == expected.post_add_round_key &&
+          actual.post_sub_bytes == expected.post_sub_bytes;
+      mismatches += same ? 0 : 1;
+    }
+    EXPECT_EQ(mismatches, 0) << "key index " << k;
+  }
+}
+
+TEST(AesKernelOracle, HammingMatchesBitLoop) {
+  std::vector<Block> blocks;
+  for (const std::uint8_t fill : {0x00, 0xff, 0x80, 0x01}) {
+    Block b;
+    b.fill(fill);
+    blocks.push_back(b);
+  }
+  util::Xoshiro256 rng(0x4a3d);
+  for (int i = 0; i < 4096; ++i) {
+    Block b;
+    rng.fill_bytes(b);
+    blocks.push_back(b);
+  }
+  EXPECT_EQ(hamming_weight(blocks[2]), 16);
+  EXPECT_EQ(hamming_distance(blocks[2], blocks[3]), 32);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    ASSERT_EQ(hamming_weight(blocks[i]), reference_hamming_weight(blocks[i]))
+        << "block " << i;
+    // Against the four fixed patterns and the next block.
+    for (const std::size_t j :
+         std::array<std::size_t, 5>{0, 1, 2, 3, (i + 1) % blocks.size()}) {
+      ASSERT_EQ(hamming_distance(blocks[i], blocks[j]),
+                reference_hamming_distance(blocks[i], blocks[j]))
+          << "blocks " << i << ", " << j;
+    }
+  }
+}
+
+TEST(AesKernelOracle, ByteWeightMatchesBitLoop) {
+  for (int v = 0; v < 256; ++v) {
+    Block b{};
+    b[0] = static_cast<std::uint8_t>(v);
+    EXPECT_EQ(hamming_weight(static_cast<std::uint8_t>(v)),
+              reference_hamming_weight(b));
+  }
 }
 
 // Property sweeps over random keys/plaintexts.
