@@ -97,13 +97,19 @@ void BM_FastTraceCollect(benchmark::State& state) {
 }
 BENCHMARK(BM_FastTraceCollect);
 
+// Feeds one trace as a one-trace batch.
+void add_one(core::CpaEngine& engine, const aes::Block& pt,
+             const aes::Block& ct, double value) {
+  engine.add_trace_batch({&pt, 1}, {&ct, 1}, {&value, 1});
+}
+
 void BM_CpaAddTrace(benchmark::State& state) {
   util::Xoshiro256 rng(7);
   core::CpaEngine engine({power::PowerModel::rd0_hw});
   aes::Block pt = random_block(rng);
   aes::Block ct = random_block(rng);
   for (auto _ : state) {
-    engine.add_trace(pt, ct, 1.0);
+    add_one(engine, pt, ct, 1.0);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -115,7 +121,7 @@ void BM_CpaAddTraceWithPairHistogram(benchmark::State& state) {
   aes::Block pt = random_block(rng);
   aes::Block ct = random_block(rng);
   for (auto _ : state) {
-    engine.add_trace(pt, ct, 1.0);
+    add_one(engine, pt, ct, 1.0);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -125,8 +131,8 @@ void BM_CpaAnalyzeByte(benchmark::State& state) {
   util::Xoshiro256 rng(9);
   core::CpaEngine engine({power::PowerModel::rd0_hw});
   for (int i = 0; i < 10000; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng),
-                     rng.gaussian(0.0, 1.0));
+    add_one(engine, random_block(rng), random_block(rng),
+            rng.gaussian(0.0, 1.0));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -135,12 +141,14 @@ void BM_CpaAnalyzeByte(benchmark::State& state) {
 }
 BENCHMARK(BM_CpaAnalyzeByte);
 
+// A sequentially fed engine keeps its pair data as a log, so each call
+// also builds the position's histogram.
 void BM_CpaAnalyzeByteHd(benchmark::State& state) {
   util::Xoshiro256 rng(10);
   core::CpaEngine engine({power::PowerModel::rd10_hd});
   for (int i = 0; i < 10000; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng),
-                     rng.gaussian(0.0, 1.0));
+    add_one(engine, random_block(rng), random_block(rng),
+            rng.gaussian(0.0, 1.0));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -153,14 +161,17 @@ BENCHMARK(BM_CpaAnalyzeByteHd);
 // the replay workload's occupancy, and the per-occupied-bin guess-row
 // update sets the cost. Byte 1 pairs with ct[5]; positions 0, 4, 8 and
 // 12 (state row 0, not shifted) pair with themselves and fill only the
-// 256 diagonal bins.
+// 256 diagonal bins. The fed engine is merged into an empty one, which
+// holds the dense pair histogram, so the loop times the analysis alone.
 void BM_CpaAnalyzeByteHdDense(benchmark::State& state) {
   util::Xoshiro256 rng(21);
-  core::CpaEngine engine({power::PowerModel::rd10_hd});
+  core::CpaEngine fed({power::PowerModel::rd10_hd});
   for (int i = 0; i < 98304; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng),
-                     rng.gaussian(0.0, 1.0));
+    add_one(fed, random_block(rng), random_block(rng),
+            rng.gaussian(0.0, 1.0));
   }
+  core::CpaEngine engine({power::PowerModel::rd10_hd});
+  engine.merge(fed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         engine.analyze_byte(power::PowerModel::rd10_hd, 1));
@@ -172,8 +183,8 @@ void BM_CpaAnalyzeByteRd10Hw(benchmark::State& state) {
   util::Xoshiro256 rng(22);
   core::CpaEngine engine({power::PowerModel::rd10_hw});
   for (int i = 0; i < 10000; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng),
-                     rng.gaussian(0.0, 1.0));
+    add_one(engine, random_block(rng), random_block(rng),
+            rng.gaussian(0.0, 1.0));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(

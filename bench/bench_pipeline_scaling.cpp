@@ -109,7 +109,6 @@
 #include "bus/daemon.h"
 #include "bus/jobs.h"
 #include "core/campaigns.h"
-#include "core/parallel.h"
 #include "power/noise.h"
 #include "store/file_trace_source.h"
 #include "store/shared_mapping.h"
@@ -244,8 +243,9 @@ int main() {
       for (std::size_t t = 0; t < ingest_traces; ++t) {
         pt_rng.fill_bytes(pt);
         const core::TraceRecord record = source.collect(pt);
-        engine.add_trace(record.plaintext, record.ciphertext,
-                         record.values[column]);
+        engine.add_trace_batch({&record.plaintext, 1},
+                               {&record.ciphertext, 1},
+                               {&record.values[column], 1});
       }
       legacy_samples.push_back(static_cast<double>(ingest_traces) /
                                seconds_since(start));
@@ -667,7 +667,8 @@ int main() {
   // The same full-dataset CPA spec, run in-process through run_cpa_job:
   // once sequentially (the default exec — also the bit-identity
   // reference) and once with a shard budget of 4, fanning the 8 shard
-  // units out on the worker pool with merges in shard order. Median of
+  // units out on the worker pool with merges in shard order (the job
+  // grows the pool to its budget itself). Median of
   // gate_reps reps each, alternating. The budget-4 run must reach
   // PSC_BUS_JOB_MIN_SCALING times sequential throughput (>= 4 hardware
   // threads only) and match it bit-for-bit.
@@ -677,7 +678,6 @@ int main() {
   double bus_job_tps_par = 0.0;
   bool bus_job_identical = true;
   {
-    core::WorkerPool::instance().reserve(4);
     const auto mapping = store::SharedMapping::open(pstr_v2_path);
     bus::CpaJobSpec spec;
     spec.channel = util::FourCc("PHPC").code();

@@ -37,9 +37,11 @@ std::unique_ptr<store::TraceFileReader> make_shard_reader(
 // one, units are posted to the worker pool with a sliding in-flight
 // window re-capped from exec.shard_budget() before each unit is issued,
 // and the caller finishes units in post order (so at most ~cap shard
-// engines are ever alive). If any unit threw, the exception of the
-// lowest-indexed failing shard is rethrown after every unit finished;
-// shards whose unit failed are never merged.
+// engines are ever alive). Each cap read grows the pool to that many
+// threads, so the window is as wide as the budget whatever ran before.
+// If any unit threw, the exception of the lowest-indexed failing shard
+// is rethrown after every unit finished; shards whose unit failed are
+// never merged.
 void run_shard_units(std::uint32_t shards, const JobExecOptions& exec,
                      const std::function<void(std::uint32_t)>& fn,
                      const std::function<void(std::uint32_t)>& on_merged) {
@@ -72,7 +74,8 @@ void run_shard_units(std::uint32_t shards, const JobExecOptions& exec,
     }
   };
 
-  core::WorkerPool::JobGroup group;
+  core::WorkerPool& pool = core::WorkerPool::instance();
+  core::WorkerPool::JobGroup group(pool);
   std::uint32_t merged = 0;
   const auto drain_one = [&] {
     group.finish_next();
@@ -83,6 +86,7 @@ void run_shard_units(std::uint32_t shards, const JobExecOptions& exec,
   };
   for (std::uint32_t s = 0; s < shards; ++s) {
     const std::uint32_t cap = std::max<std::uint32_t>(1, exec.shard_budget());
+    pool.reserve(cap);
     while (group.in_flight() >= cap) {
       drain_one();
     }
@@ -180,9 +184,12 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
   CpaJobResult result;
   result.traces = total;
   const auto round_keys = aes::Aes128::expand_key(spec.known_key);
+  // The byte positions are analyzed at the job's shard budget.
+  const std::size_t width =
+      exec.shard_budget ? std::max<std::uint32_t>(1, exec.shard_budget()) : 1;
   result.models.reserve(spec.models.size());
   for (const power::PowerModel model : spec.models) {
-    result.models.push_back(engine.analyze(model, round_keys));
+    result.models.push_back(engine.analyze(model, round_keys, width));
   }
   return result;
 }

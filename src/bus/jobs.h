@@ -15,11 +15,16 @@
 //   - Without a shard budget (the default, and the --verify-local path)
 //     shards run sequentially on the calling thread.
 //   - With one, up to budget() shard units run concurrently as posted
-//     worker-pool jobs; the caller drains them in shard order and merges
-//     incrementally, so at most ~budget shard engines are alive and the
-//     merge order never depends on completion order. The budget is
-//     re-read before each unit is issued, which is how the daemon's fair
-//     scheduler shrinks a running job's window when new jobs arrive.
+//     worker-pool jobs, and the pool grows to the budget it reads. The
+//     caller drains units in shard order and merges incrementally, so
+//     the merge order never depends on completion order. Alive at once
+//     are the merge target plus at most ~budget shard parts; a CPA part
+//     keeps its Rd10-HD pair data as a 24 B/trace log (core/cpa.h), so
+//     only the target holds the ~12 MB dense pair histogram. The budget
+//     is re-read before each unit is issued, which is how the daemon's
+//     fair scheduler shrinks a running job's window when new jobs
+//     arrive. run_cpa_job then analyzes the 16 byte positions on up to
+//     budget() pool threads.
 //
 // TVLA replay labeling: a PSTR file carries no (class, collection)
 // labels, so TVLA-over-file assumes the dataset was recorded in TVLA

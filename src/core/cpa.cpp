@@ -6,6 +6,7 @@
 
 #include "aes/sbox.h"
 #include "core/guessing_entropy.h"
+#include "core/parallel.h"
 
 namespace psc::core {
 
@@ -63,6 +64,60 @@ const std::uint8_t* prediction_rows(power::PowerModel model) {
   return &rows[static_cast<std::size_t>(model) * 65536];
 }
 
+// Bins of one position of the Rd10-HD pair histogram.
+constexpr std::size_t pair_bins = 65536;
+
+std::size_t pair_bin(const aes::Block& ct, std::size_t i,
+                     std::size_t src) noexcept {
+  return static_cast<std::size_t>(ct[i]) * 256 + ct[src];
+}
+
+// Folds n traces into position i's pair histogram, values in trace order
+// — the one accumulation every pair bin receives, whether from a batch
+// in the dense state, from a log being densified or merged, or into an
+// analysis-local histogram.
+void accumulate_pair_position(std::size_t i, const aes::Block* cts,
+                              const double* values, std::size_t n,
+                              std::uint32_t* counts, double* sums) noexcept {
+  const std::size_t src = aes::shift_rows_source(i);
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t bin = pair_bin(cts[t], i, src);
+    ++counts[bin];
+    sums[bin] += values[t];
+  }
+}
+
+// Bin-major analysis of one Rd10-HD position's histogram. Within row
+// ct_i, guess g predicts HW(inv_sbox[ct_i ^ g] ^ ct_src): in lane order
+// x = inv_sbox[ct_i ^ g] that is the fixed row HW(x ^ ct_src). Permute
+// the accumulators into x order for the row and back at its end.
+void accumulate_pair_guesses(const std::uint32_t* counts, const double* sums,
+                             const std::uint8_t* rows,
+                             util::simd::GuessSums& acc) {
+  util::simd::GuessSums lanes;
+  for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
+    for (std::size_t x = 0; x < 256; ++x) {
+      const std::size_t g = aes::sbox[x] ^ ct_i;
+      lanes.m[x] = acc.m[g];
+      lanes.mm[x] = acc.mm[g];
+      lanes.mt[x] = acc.mt[g];
+    }
+    for (std::size_t ct_src = 0; ct_src < 256; ++ct_src) {
+      const std::size_t bin = ct_i * 256 + ct_src;
+      if (counts[bin] != 0) {
+        util::simd::accumulate_guess_row(&rows[ct_src * 256], counts[bin],
+                                         sums[bin], lanes);
+      }
+    }
+    for (std::size_t x = 0; x < 256; ++x) {
+      const std::size_t g = aes::sbox[x] ^ ct_i;
+      acc.m[g] = lanes.m[x];
+      acc.mm[g] = lanes.mm[x];
+      acc.mt[g] = lanes.mt[x];
+    }
+  }
+}
+
 }  // namespace
 
 int ByteRanking::rank_of(std::uint8_t candidate) const noexcept {
@@ -105,47 +160,22 @@ CpaEngine::CpaEngine(std::vector<power::PowerModel> models)
     ct_count_.assign(16 * 256, 0);
     ct_sum_.assign(16 * 256, 0.0);
   }
-  if (need_pair_hist_) {
-    pair_count_.assign(16 * 65536, 0);
-    pair_sum_.assign(16 * 65536, 0.0);
-  }
 }
 
 bool CpaEngine::has_model(power::PowerModel model) const noexcept {
   return std::find(models_.begin(), models_.end(), model) != models_.end();
 }
 
-void CpaEngine::add_trace(const aes::Block& plaintext,
-                          const aes::Block& ciphertext,
-                          double value) noexcept {
-  // Stripe by the global trace index (n_ before this trace) so per-trace
-  // and batch feeding build identical moment state.
-  util::simd::accumulate_moments(&value, 1, n_, moments_);
-  ++n_;
-  if (need_pt_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin = i * 256 + plaintext[i];
-      ++pt_count_[bin];
-      pt_sum_[bin] += value;
-    }
+void CpaEngine::densify_pairs() {
+  pair_count_.assign(16 * pair_bins, 0);
+  pair_sum_.assign(16 * pair_bins, 0.0);
+  for (std::size_t i = 0; i < 16; ++i) {
+    accumulate_pair_position(i, pair_log_ct_.data(), pair_log_value_.data(),
+                             pair_log_ct_.size(), &pair_count_[i * pair_bins],
+                             &pair_sum_[i * pair_bins]);
   }
-  if (need_ct_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin = i * 256 + ciphertext[i];
-      ++ct_count_[bin];
-      ct_sum_[bin] += value;
-    }
-  }
-  if (need_pair_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin =
-          i * 65536 +
-          static_cast<std::size_t>(ciphertext[i]) * 256 +
-          ciphertext[aes::shift_rows_source(i)];
-      ++pair_count_[bin];
-      pair_sum_[bin] += value;
-    }
-  }
+  pair_log_ct_ = std::vector<aes::Block>();
+  pair_log_value_ = std::vector<double>();
 }
 
 void CpaEngine::add_trace_batch(std::span<const aes::Block> plaintexts,
@@ -177,20 +207,31 @@ void CpaEngine::add_trace_batch(std::span<const aes::Block> plaintexts,
                                        values.data(), n, ct_count_.data(),
                                        ct_sum_.data());
   }
-  if (need_pair_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t src = aes::shift_rows_source(i);
-      std::uint32_t* counts = &pair_count_[i * 65536];
-      double* sums = &pair_sum_[i * 65536];
-      for (std::size_t t = 0; t < n; ++t) {
-        const std::size_t bin =
-            static_cast<std::size_t>(ciphertexts[t][i]) * 256 +
-            ciphertexts[t][src];
-        ++counts[bin];
-        sums[bin] += values[t];
-      }
-    }
+  if (!need_pair_hist_) {
+    return;
   }
+  const std::size_t logged = pair_log_ct_.size() + n;
+  if (!pair_histogram_dense() && logged > pair_log_limit) {
+    densify_pairs();
+  }
+  if (pair_histogram_dense()) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      accumulate_pair_position(i, ciphertexts.data(), values.data(), n,
+                               &pair_count_[i * pair_bins],
+                               &pair_sum_[i * pair_bins]);
+    }
+    return;
+  }
+  if (logged > pair_log_ct_.capacity()) {
+    // Grow geometrically, but never past the limit the log can reach.
+    const std::size_t capacity = std::min(
+        std::max(logged, 2 * pair_log_ct_.capacity()), pair_log_limit);
+    pair_log_ct_.reserve(capacity);
+    pair_log_value_.reserve(capacity);
+  }
+  pair_log_ct_.insert(pair_log_ct_.end(), ciphertexts.begin(),
+                      ciphertexts.end());
+  pair_log_value_.insert(pair_log_value_.end(), values.begin(), values.end());
 }
 
 void CpaEngine::merge(const CpaEngine& other) {
@@ -209,9 +250,42 @@ void CpaEngine::merge(const CpaEngine& other) {
     ct_count_[b] += other.ct_count_[b];
     ct_sum_[b] += other.ct_sum_[b];
   }
-  for (std::size_t b = 0; b < pair_count_.size(); ++b) {
-    pair_count_[b] += other.pair_count_[b];
-    pair_sum_[b] += other.pair_sum_[b];
+  if (!need_pair_hist_) {
+    return;
+  }
+  if (!pair_histogram_dense()) {
+    densify_pairs();
+  }
+  if (other.pair_histogram_dense()) {
+    for (std::size_t b = 0; b < pair_count_.size(); ++b) {
+      pair_count_[b] += other.pair_count_[b];
+      pair_sum_[b] += other.pair_sum_[b];
+    }
+    return;
+  }
+  // Fold each position of other's log through scratch bins in trace
+  // order — exactly other's dense bins — then add the touched bins and
+  // clear them for the next position. An untouched bin would add +0.0,
+  // which changes nothing: a bin sum starts at +0.0, so it is never -0.0.
+  const std::size_t n = other.pair_log_ct_.size();
+  const aes::Block* cts = other.pair_log_ct_.data();
+  std::vector<std::uint32_t> counts(pair_bins, 0);
+  std::vector<double> sums(pair_bins, 0.0);
+  for (std::size_t i = 0; i < 16; ++i) {
+    accumulate_pair_position(i, cts, other.pair_log_value_.data(), n,
+                             counts.data(), sums.data());
+    const std::size_t src = aes::shift_rows_source(i);
+    std::uint32_t* target_counts = &pair_count_[i * pair_bins];
+    double* target_sums = &pair_sum_[i * pair_bins];
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t bin = pair_bin(cts[t], i, src);
+      if (counts[bin] != 0) {
+        target_counts[bin] += counts[bin];
+        target_sums[bin] += sums[bin];
+        counts[bin] = 0;
+        sums[bin] = 0.0;
+      }
+    }
   }
 }
 
@@ -238,35 +312,17 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
   // the (m * m) * c of that loop.
   util::simd::GuessSums acc;
   const auto inputs = power::power_model_inputs(model);
-  if (inputs.uses_ciphertext_pair) {
-    const std::uint32_t* counts = &pair_count_[byte_index * 65536];
-    const double* sums = &pair_sum_[byte_index * 65536];
-    // Within row ct_i, guess g predicts HW(inv_sbox[ct_i ^ g] ^ ct_src):
-    // in lane order x = inv_sbox[ct_i ^ g] that is the fixed row
-    // HW(x ^ ct_src). Permute the accumulators into x order for the row
-    // and back at its end.
-    util::simd::GuessSums lanes;
-    for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
-      for (std::size_t x = 0; x < 256; ++x) {
-        const std::size_t g = aes::sbox[x] ^ ct_i;
-        lanes.m[x] = acc.m[g];
-        lanes.mm[x] = acc.mm[g];
-        lanes.mt[x] = acc.mt[g];
-      }
-      for (std::size_t ct_src = 0; ct_src < 256; ++ct_src) {
-        const std::size_t bin = ct_i * 256 + ct_src;
-        if (counts[bin] != 0) {
-          util::simd::accumulate_guess_row(&rows[ct_src * 256], counts[bin],
-                                           sums[bin], lanes);
-        }
-      }
-      for (std::size_t x = 0; x < 256; ++x) {
-        const std::size_t g = aes::sbox[x] ^ ct_i;
-        acc.m[g] = lanes.m[x];
-        acc.mm[g] = lanes.mm[x];
-        acc.mt[g] = lanes.mt[x];
-      }
-    }
+  if (inputs.uses_ciphertext_pair && pair_histogram_dense()) {
+    accumulate_pair_guesses(&pair_count_[byte_index * pair_bins],
+                            &pair_sum_[byte_index * pair_bins], rows, acc);
+  } else if (inputs.uses_ciphertext_pair) {
+    // Log state: this position's histogram, built here in trace order.
+    std::vector<std::uint32_t> counts(pair_bins, 0);
+    std::vector<double> sums(pair_bins, 0.0);
+    accumulate_pair_position(byte_index, pair_log_ct_.data(),
+                             pair_log_value_.data(), pair_log_ct_.size(),
+                             counts.data(), sums.data());
+    accumulate_pair_guesses(counts.data(), sums.data(), rows, acc);
   } else {
     const std::uint32_t* counts = inputs.uses_plaintext
                                       ? &pt_count_[byte_index * 256]
@@ -289,12 +345,17 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
 
 ModelResult CpaEngine::analyze(
     power::PowerModel model,
-    const std::array<aes::Block, aes::num_rounds + 1>& true_round_keys)
-    const {
+    const std::array<aes::Block, aes::num_rounds + 1>& true_round_keys,
+    std::size_t width) const {
   ModelResult result;
   result.model = model;
+  // Byte positions are independent reads of this engine; map() returns
+  // them in position order whatever thread ran each.
+  const std::vector<ByteRanking> bytes =
+      ParallelRunner(ShardPlan{.workers = width, .shards = 16})
+          .map([&](std::size_t i) { return analyze_byte(model, i); });
   for (std::size_t i = 0; i < 16; ++i) {
-    result.bytes[i] = analyze_byte(model, i);
+    result.bytes[i] = bytes[i];
     const std::uint8_t truth =
         power::true_key_byte(model, true_round_keys, i);
     result.scored_key[i] = truth;

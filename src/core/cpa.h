@@ -21,6 +21,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -63,24 +64,34 @@ struct ModelResult {
 
 class CpaEngine {
  public:
-  // `models` determines which histograms are maintained; including
-  // rd10_hd allocates the 16x65536 pair histogram (~12 MB).
+  // Traces the Rd10-HD pair log holds at most: past this count its 24 B
+  // per trace would outgrow the dense 16x65536 count+sum histogram
+  // (12 MiB), so the engine switches to the dense state instead.
+  static constexpr std::size_t pair_log_limit =
+      16 * 65536 * (sizeof(std::uint32_t) + sizeof(double)) /
+      (sizeof(aes::Block) + sizeof(double));
+
+  // `models` determines which histograms are maintained. Single-byte
+  // models keep 16x256 histograms. Rd10-HD pair data has two states:
+  //   - log: the fed (ciphertext, value) stream, 24 B per trace. A
+  //     position's 65536-bin histogram is built only while analyzing it.
+  //   - dense: the 16x65536 count+sum pair histogram (~12 MB).
+  // An engine starts in the log state and switches to dense when it
+  // receives a merge() or when the log would pass pair_log_limit. Both
+  // states analyze bit-identically: either way every bin sums its values
+  // in trace order, starting from +0.0.
   explicit CpaEngine(std::vector<power::PowerModel> models);
 
   const std::vector<power::PowerModel>& models() const noexcept {
     return models_;
   }
 
-  // Feeds one trace: known plaintext/ciphertext and the measured channel
-  // value.
-  void add_trace(const aes::Block& plaintext, const aes::Block& ciphertext,
-                 double value) noexcept;
-
-  // Feeds a batch of traces in column form; throws std::invalid_argument
-  // unless the spans have equal length. The inner loops run on the
-  // runtime-dispatched kernels of util/simd.h, but every accumulator word
-  // receives the same values in the same order as an add_trace loop —
-  // and as every other SIMD backend — so batch and loop feeding produce
+  // Feeds a batch of traces in column form: known plaintexts and
+  // ciphertexts and the measured channel values. Throws
+  // std::invalid_argument unless the spans have equal length. The inner
+  // loops run on the runtime-dispatched kernels of util/simd.h, but every
+  // accumulator word receives its values in trace order on every backend,
+  // so feeding one trace at a time and feeding whole batches produce
   // bit-identical state (see simd.h for the striping/disjoint-bin
   // construction that guarantees it).
   void add_trace_batch(std::span<const aes::Block> plaintexts,
@@ -98,7 +109,9 @@ class CpaEngine {
   // fed here after this engine's own. Both engines must have been built
   // with the same model list. This is the merge step of the sharded
   // pipeline: K shard engines merged in shard order equal one engine fed
-  // the concatenated trace stream.
+  // the concatenated trace stream. This engine's pair data turns dense
+  // (see the constructor); other's may stay a log, whose bins fold into
+  // the dense ones exactly as other's dense bins would.
   void merge(const CpaEngine& other);
 
   // Cheap copy of the accumulator state for mid-campaign GE checkpoints:
@@ -108,18 +121,27 @@ class CpaEngine {
 
   std::size_t trace_count() const noexcept { return n_; }
 
+  // True once Rd10-HD pair data is held as the dense histogram.
+  bool pair_histogram_dense() const noexcept { return !pair_count_.empty(); }
+
   // Correlations for every guess at one byte position under one model,
   // computed from the current accumulator state.
   ByteRanking analyze_byte(power::PowerModel model,
                            std::size_t byte_index) const;
 
-  // Full analysis of one model against the true round keys.
+  // Full analysis of one model against the true round keys. The 16 byte
+  // positions run on up to `width` threads of the worker pool (1 = all on
+  // the calling thread); the result does not depend on the width.
   ModelResult analyze(power::PowerModel model,
                       const std::array<aes::Block, aes::num_rounds + 1>&
-                          true_round_keys) const;
+                          true_round_keys,
+                      std::size_t width = 1) const;
 
  private:
   bool has_model(power::PowerModel model) const noexcept;
+  // Log state -> dense state: folds the pair log into fresh dense arrays
+  // and releases the log.
+  void densify_pairs();
 
   std::vector<power::PowerModel> models_;
   bool need_pt_hist_ = false;
@@ -141,8 +163,12 @@ class CpaEngine {
   util::AlignedVector<std::uint32_t> ct_count_;
   util::AlignedVector<double> ct_sum_;
 
-  // Pair histogram for Rd10-HD: bins (ct[i], ct[shift_rows_source(i)]).
-  // Indexed [pos][ct_i * 256 + ct_src].
+  // Rd10-HD pair data (see the constructor). Log state: every fed
+  // ciphertext and value, in trace order; the dense arrays are empty.
+  // Dense state: the log is empty and the pair histogram holds bins
+  // (ct[i], ct[shift_rows_source(i)]), indexed [pos][ct_i * 256 + ct_src].
+  std::vector<aes::Block> pair_log_ct_;
+  std::vector<double> pair_log_value_;
   util::AlignedVector<std::uint32_t> pair_count_;
   util::AlignedVector<double> pair_sum_;
 };

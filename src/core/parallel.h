@@ -166,11 +166,11 @@ class WorkerPool {
   };
 
   // Grows the pool to at least `threads` pool threads. post() alone only
-  // guarantees one pool thread. ParallelRunner::map sizes the pool from
-  // its plan (workers - 1 helpers) on every call. Bus jobs post their
-  // shard units through a JobGroup without sizing, so they rely on the
-  // daemon reserving its concurrency target once at startup. Never
-  // shrinks; safe to call concurrently.
+  // guarantees one pool thread, so every fan-out sizes the pool from its
+  // own width: ParallelRunner::map reserves its plan's workers - 1
+  // helpers on every call, and a budgeted bus job reserves its shard
+  // budget each time it reads it. Never shrinks; safe to call
+  // concurrently.
   void reserve(std::size_t threads);
 
   // Pool threads spawned so far (grow-only); exposed so tests can assert

@@ -132,7 +132,6 @@ TEST(ResolvedJobShards, ZeroAutoSizesByTraceCount) {
 }
 
 TEST(JobsParallel, CpaParallelMatchesSequentialAcrossShardsAndBudgets) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_cpa.pstr");
   CpaJobSpec spec;
   spec.channel = util::FourCc("PHPC").code();
@@ -152,7 +151,6 @@ TEST(JobsParallel, CpaParallelMatchesSequentialAcrossShardsAndBudgets) {
 }
 
 TEST(JobsParallel, TvlaParallelMatchesSequentialAcrossShardsAndBudgets) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_tvla.pstr");
   TvlaJobSpec spec;
   for (const std::uint32_t shards : {1u, 2u, 3u}) {
@@ -182,7 +180,6 @@ TEST(JobsParallel, AutoShardsResolveIdenticallyEverywhere) {
 }
 
 TEST(JobsParallel, ProgressAggregatesMonotonicallyToTotal) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_prog.pstr");
   CpaJobSpec spec;
   spec.channel = util::FourCc("PHPC").code();
@@ -210,7 +207,6 @@ TEST(JobsParallel, ProgressAggregatesMonotonicallyToTotal) {
 }
 
 TEST(JobsParallel, ShardActivityReportsResolveStartsAndFinishes) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_act.pstr");
   TvlaJobSpec spec;
   spec.shards = 6;
@@ -233,6 +229,22 @@ TEST(JobsParallel, ShardActivityReportsResolveStartsAndFinishes) {
   EXPECT_EQ(last_running, 0u);
 }
 
+// A budgeted job sizes the pool itself: its window is as wide as its
+// budget whatever ran in the process before. The pool is grow-only and
+// no other test in this binary uses a budget of 6.
+TEST(JobsParallel, BudgetedJobGrowsPoolToItsBudget) {
+  const auto dataset = write_dataset("jobs_par_width.pstr");
+  CpaJobSpec spec;
+  spec.channel = util::FourCc("PHPC").code();
+  spec.known_key = test_key();
+  spec.shards = 8;
+  core::WorkerPool& pool = core::WorkerPool::instance();
+  ASSERT_LT(pool.thread_count(), 6u);
+  expect_cpa_bit_identical(run_cpa_job(dataset, spec),
+                           run_cpa_job(dataset, spec, {}, budget(6)));
+  EXPECT_GE(pool.thread_count(), 6u);
+}
+
 TEST(JobsParallel, OversubscribedShardsStillThrow) {
   const auto dataset = write_dataset("jobs_par_throw.pstr");
   CpaJobSpec cpa;
@@ -247,7 +259,6 @@ TEST(JobsParallel, OversubscribedShardsStillThrow) {
 }
 
 TEST(JobsParallel, FailedShardPropagatesWithoutMerging) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_fail.pstr");
   CpaJobSpec spec;
   spec.channel = util::FourCc("XXXX").code();  // no such channel
@@ -257,7 +268,6 @@ TEST(JobsParallel, FailedShardPropagatesWithoutMerging) {
 }
 
 TEST(JobsParallel, CorruptChunkFailsLoudlyFromAShardUnit) {
-  core::WorkerPool::instance().reserve(4);
   // Flip a byte in the middle of the file — inside some chunk's payload —
   // so one shard unit trips the CRC check on a pool thread. The error
   // must surface to the caller as the usual StoreError, not vanish or
@@ -289,7 +299,6 @@ TEST(JobsParallel, CorruptChunkFailsLoudlyFromAShardUnit) {
 // The TSan target: many jobs over one mapping and one shared cache, all
 // shard-parallel, each result bit-identical to its sequential reference.
 TEST(JobsParallel, ConcurrentJobsShareOneMappingAndCache) {
-  core::WorkerPool::instance().reserve(4);
   const auto dataset = write_dataset("jobs_par_hammer.pstr");
   const auto cache =
       std::make_shared<store::ChunkCache>(std::size_t{64} << 20);

@@ -233,8 +233,8 @@ TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
   for (std::size_t t = 0; t < config.trace_count; ++t) {
     rng.fill_bytes(pt);
     const TraceRecord record = source.collect(pt);
-    engine.add_trace(record.plaintext, record.ciphertext,
-                     record.values[column]);
+    engine.add_trace_batch({&record.plaintext, 1}, {&record.ciphertext, 1},
+                           {&record.values[column], 1});
     if (engine.trace_count() == 1000 ||
         engine.trace_count() == config.trace_count) {
       const ModelResult res =
@@ -293,8 +293,9 @@ TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
     for (std::size_t t = 0; t < shard_size(config.trace_count, 3, s); ++t) {
       shard_rng.fill_bytes(pt);
       const TraceRecord record = source.collect(pt);
-      shard_engine.add_trace(record.plaintext, record.ciphertext,
-                             record.values[column]);
+      shard_engine.add_trace_batch({&record.plaintext, 1},
+                                   {&record.ciphertext, 1},
+                                   {&record.values[column], 1});
     }
     if (first) {
       merged = shard_engine.snapshot();

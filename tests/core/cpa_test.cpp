@@ -5,9 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "core/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -18,6 +21,12 @@ aes::Block random_block(util::Xoshiro256& rng) {
   aes::Block b;
   rng.fill_bytes(b);
   return b;
+}
+
+// Feeds one trace as a one-trace batch.
+void add_one(CpaEngine& engine, const aes::Block& pt, const aes::Block& ct,
+             double value) {
+  engine.add_trace_batch({&pt, 1}, {&ct, 1}, {&value, 1});
 }
 
 TEST(CpaEngine, RejectsEmptyModelList) {
@@ -34,7 +43,7 @@ TEST(CpaEngine, TraceCountTracked) {
   CpaEngine engine({power::PowerModel::rd0_hw});
   util::Xoshiro256 rng(1);
   for (int i = 0; i < 5; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng), 1.0);
+    add_one(engine, random_block(rng), random_block(rng), 1.0);
   }
   EXPECT_EQ(engine.trace_count(), 5u);
 }
@@ -82,7 +91,7 @@ TEST_P(CpaModelRecovery, RecoversAllBytesNoiseless) {
         leak = aes::hamming_weight(trace.post_sub_bytes[0]);
         break;
     }
-    engine.add_trace(pt, ct, leak);
+    add_one(engine, pt, ct, leak);
   }
 
   const ModelResult result = engine.analyze(model, cipher.round_keys());
@@ -106,7 +115,7 @@ TEST(CpaEngine, RecoversUnderModerateNoise) {
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
     const double leak = aes::hamming_weight(trace.post_add_round_key[0]) +
                         rng.gaussian(0.0, 40.0);
-    engine.add_trace(pt, ct, leak);
+    add_one(engine, pt, ct, leak);
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd0_hw, cipher.round_keys());
@@ -139,9 +148,9 @@ TEST_P(CpaHistogramEquivalence, MatchesDirectCorrelation) {
     values[static_cast<std::size_t>(t)] =
         aes::hamming_weight(trace.post_add_round_key[0]) +
         rng.gaussian(0.0, 5.0);
-    engine.add_trace(pts[static_cast<std::size_t>(t)],
-                     cts[static_cast<std::size_t>(t)],
-                     values[static_cast<std::size_t>(t)]);
+    add_one(engine, pts[static_cast<std::size_t>(t)],
+            cts[static_cast<std::size_t>(t)],
+            values[static_cast<std::size_t>(t)]);
   }
 
   for (const std::size_t byte_index : {std::size_t{0}, std::size_t{7}}) {
@@ -177,8 +186,7 @@ TEST(CpaEngine, Round10KeyInversion) {
   for (int t = 0; t < 8000; ++t) {
     const aes::Block pt = random_block(rng);
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
-    engine.add_trace(pt, ct,
-                     aes::hamming_weight(trace.post_add_round_key[9]));
+    add_one(engine, pt, ct, aes::hamming_weight(trace.post_add_round_key[9]));
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd10_hw, cipher.round_keys());
@@ -193,7 +201,7 @@ TEST(CpaEngine, NoSignalMeansNoRecovery) {
   CpaEngine engine({power::PowerModel::rd0_hw});
   for (int t = 0; t < 20000; ++t) {
     const aes::Block pt = random_block(rng);
-    engine.add_trace(pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
+    add_one(engine, pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd0_hw, cipher.round_keys());
@@ -227,8 +235,8 @@ TEST_P(CpaMergeEquivalence, ShardsMergeToMonolithicResult) {
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
     const double leak = aes::hamming_weight(trace.post_add_round_key[0]) +
                         rng.gaussian(0.0, 3.0);
-    monolithic.add_trace(pt, ct, leak);
-    shards[t % n_shards].add_trace(pt, ct, leak);
+    add_one(monolithic, pt, ct, leak);
+    add_one(shards[t % n_shards], pt, ct, leak);
   }
 
   CpaEngine merged = shards[0].snapshot();
@@ -277,7 +285,7 @@ TEST(CpaEngine, BatchFeedEqualsLoopFeedBitForBit) {
 
   CpaEngine looped({power::PowerModel::rd0_hw});
   for (std::size_t t = 0; t < n_traces; ++t) {
-    looped.add_trace(pts[t], cts[t], values[t]);
+    add_one(looped, pts[t], cts[t], values[t]);
   }
   CpaEngine batched({power::PowerModel::rd0_hw});
   batched.add_trace_batch(pts, cts, values);
@@ -354,6 +362,7 @@ TEST(CpaEngine, AllSimdBackendsMatchScalarBitForBit) {
 // bit-for-bit on every backend.
 struct ReferenceHistograms {
   std::size_t n = 0;
+  util::simd::MomentStripes moments;
   double sum_t = 0.0;
   double sum_tt = 0.0;
   std::vector<std::uint32_t> pt_count = std::vector<std::uint32_t>(16 * 256);
@@ -368,7 +377,6 @@ struct ReferenceHistograms {
                       std::span<const aes::Block> cts,
                       std::span<const double> values)
       : n(values.size()) {
-    util::simd::MomentStripes moments;
     util::simd::accumulate_moments(values.data(), values.size(), 0, moments);
     sum_t = util::simd::reduce_stripes(moments.sum);
     sum_tt = util::simd::reduce_stripes(moments.sumsq);
@@ -386,6 +394,25 @@ struct ReferenceHistograms {
         ++pair_count[pair_bin];
         pair_sum[pair_bin] += values[t];
       }
+    }
+  }
+
+  // The dense merge: `other`'s traces follow this one's; every bin,
+  // occupied or not, adds other's bin.
+  void merge(const ReferenceHistograms& other) {
+    util::simd::merge_moments(moments, n, other.moments);
+    n += other.n;
+    sum_t = util::simd::reduce_stripes(moments.sum);
+    sum_tt = util::simd::reduce_stripes(moments.sumsq);
+    for (std::size_t b = 0; b < pt_count.size(); ++b) {
+      pt_count[b] += other.pt_count[b];
+      pt_sum[b] += other.pt_sum[b];
+      ct_count[b] += other.ct_count[b];
+      ct_sum[b] += other.ct_sum[b];
+    }
+    for (std::size_t b = 0; b < pair_count.size(); ++b) {
+      pair_count[b] += other.pair_count[b];
+      pair_sum[b] += other.pair_sum[b];
     }
   }
 };
@@ -512,14 +539,18 @@ OracleInput make_oracle_input(std::uint64_t seed, std::size_t n_traces,
   return in;
 }
 
-void expect_matches_reference(const OracleInput& in) {
+const std::vector<power::PowerModel> every_model(
+    power::all_power_models.begin(), power::all_power_models.end());
+
+// Every model and byte position of each engine (built with every_model)
+// against the guess-major oracle over `hist`, bit for bit, on every SIMD
+// backend.
+void expect_engines_match_reference(
+    std::initializer_list<const CpaEngine*> engines,
+    const ReferenceHistograms& hist, const aes::Block& key) {
   namespace simd = util::simd;
-  const std::vector<power::PowerModel> models(
-      power::all_power_models.begin(), power::all_power_models.end());
-  CpaEngine engine(models);
-  engine.add_trace_batch(in.pts, in.cts, in.values);
-  const ReferenceHistograms hist(in.pts, in.cts, in.values);
-  const auto round_keys = aes::Aes128(in.key).round_keys();
+  const std::vector<power::PowerModel>& models = every_model;
+  const auto round_keys = aes::Aes128(key).round_keys();
 
   std::vector<ByteRanking> want;
   for (const power::PowerModel model : models) {
@@ -529,27 +560,30 @@ void expect_matches_reference(const OracleInput& in) {
   }
   for (const simd::Backend backend : simd::supported_backends()) {
     simd::force_backend(backend);
-    std::size_t k = 0;
-    for (const power::PowerModel model : models) {
-      for (std::size_t byte = 0; byte < 16; ++byte, ++k) {
-        const ByteRanking got = engine.analyze_byte(model, byte);
-        for (std::size_t g = 0; g < 256; ++g) {
-          // Bit patterns, so a signed-zero or NaN difference fails too.
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
-                    std::bit_cast<std::uint64_t>(want[k].correlation[g]))
-              << simd::backend_name(backend) << " "
-              << power::power_model_name(model) << " byte " << byte
-              << " guess " << g << ": " << got.correlation[g] << " vs "
-              << want[k].correlation[g];
-        }
-        const std::uint8_t truth =
-            power::true_key_byte(model, round_keys, byte);
-        for (const std::uint8_t candidate :
-             {truth, want[k].best_guess(), std::uint8_t{0x00},
-              std::uint8_t{0xff}}) {
-          ASSERT_EQ(got.rank_of(candidate), want[k].rank_of(candidate))
-              << simd::backend_name(backend) << " "
-              << power::power_model_name(model) << " byte " << byte;
+    for (const CpaEngine* engine : engines) {
+      ASSERT_EQ(engine->trace_count(), hist.n);
+      std::size_t k = 0;
+      for (const power::PowerModel model : models) {
+        for (std::size_t byte = 0; byte < 16; ++byte, ++k) {
+          const ByteRanking got = engine->analyze_byte(model, byte);
+          for (std::size_t g = 0; g < 256; ++g) {
+            // Bit patterns, so a signed-zero or NaN difference fails too.
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
+                      std::bit_cast<std::uint64_t>(want[k].correlation[g]))
+                << simd::backend_name(backend) << " "
+                << power::power_model_name(model) << " byte " << byte
+                << " guess " << g << ": " << got.correlation[g] << " vs "
+                << want[k].correlation[g];
+          }
+          const std::uint8_t truth =
+              power::true_key_byte(model, round_keys, byte);
+          for (const std::uint8_t candidate :
+               {truth, want[k].best_guess(), std::uint8_t{0x00},
+                std::uint8_t{0xff}}) {
+            ASSERT_EQ(got.rank_of(candidate), want[k].rank_of(candidate))
+                << simd::backend_name(backend) << " "
+                << power::power_model_name(model) << " byte " << byte;
+          }
         }
       }
     }
@@ -557,7 +591,15 @@ void expect_matches_reference(const OracleInput& in) {
   simd::reset_backend();
 }
 
-double hd_leak(util::Xoshiro256& rng, const aes::RoundTrace& trace) {
+void expect_matches_reference(const OracleInput& in) {
+  CpaEngine engine(every_model);
+  engine.add_trace_batch(in.pts, in.cts, in.values);
+  expect_engines_match_reference(
+      {&engine}, ReferenceHistograms(in.pts, in.cts, in.values), in.key);
+}
+
+double hd_leak(util::Xoshiro256& rng, const aes::RoundTrace& trace,
+               std::size_t) {
   return aes::hamming_distance(trace.post_add_round_key[9],
                                trace.post_add_round_key[10]) +
          rng.gaussian(0.0, 8.0);
@@ -565,49 +607,203 @@ double hd_leak(util::Xoshiro256& rng, const aes::RoundTrace& trace) {
 
 TEST(CpaAnalyzeOracle, SparseEngine) {
   // ~300 traces: most of the 65536 pair bins per position stay empty.
-  expect_matches_reference(make_oracle_input(
-      91, 300,
-      [](util::Xoshiro256& rng, const aes::RoundTrace& trace, std::size_t) {
-        return hd_leak(rng, trace);
-      }));
+  expect_matches_reference(make_oracle_input(91, 300, hd_leak));
 }
 
 TEST(CpaAnalyzeOracle, DenseEngine) {
   // 98,304 traces fill ~78% of the pair bins, like the replay workload.
-  expect_matches_reference(make_oracle_input(
-      92, 98304,
-      [](util::Xoshiro256& rng, const aes::RoundTrace& trace, std::size_t) {
-        return hd_leak(rng, trace);
-      }));
+  expect_matches_reference(make_oracle_input(92, 98304, hd_leak));
+}
+
+// Signed zeros and negative values: many bin sums end exactly 0.0.
+double zero_or_negative_leak(util::Xoshiro256& rng,
+                             const aes::RoundTrace& trace, std::size_t t) {
+  switch (t % 4) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return -static_cast<double>(
+          aes::hamming_weight(trace.post_add_round_key[0]));
+    default:
+      return -std::abs(rng.gaussian(0.0, 2.0));
+  }
 }
 
 TEST(CpaAnalyzeOracle, NegativeValuesAndExactZeros) {
-  // Signed zeros and negative sums: skipping an empty bin must leave the
-  // per-guess sums exactly as the guess-major loop left them.
-  expect_matches_reference(make_oracle_input(
-      93, 2000,
-      [](util::Xoshiro256& rng, const aes::RoundTrace& trace,
-         std::size_t t) {
-        switch (t % 4) {
-          case 0:
-            return 0.0;
-          case 1:
-            return -0.0;
-          case 2:
-            return -static_cast<double>(
-                aes::hamming_weight(trace.post_add_round_key[0]));
-          default:
-            return -std::abs(rng.gaussian(0.0, 2.0));
-        }
-      }));
+  // Skipping an empty bin must leave the per-guess sums exactly as the
+  // guess-major loop left them.
+  expect_matches_reference(make_oracle_input(93, 2000, zero_or_negative_leak));
 }
 
 TEST(CpaAnalyzeOracle, FewerThanTwoTraces) {
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}}) {
-    expect_matches_reference(make_oracle_input(
-        94, n,
-        [](util::Xoshiro256& rng, const aes::RoundTrace& trace,
-           std::size_t) { return hd_leak(rng, trace); }));
+    expect_matches_reference(make_oracle_input(94, n, hd_leak));
+  }
+}
+
+// Rd10-HD pair log (see CpaEngine's constructor): shard parts keep their
+// pair data as a log, a merge target turns dense, and neither state may
+// change a bit of any result.
+
+// Shard engines over contiguous slices of `in`, each fed in one batch.
+std::vector<CpaEngine> shard_parts(const OracleInput& in,
+                                   std::size_t shards) {
+  std::vector<CpaEngine> parts;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t begin = shard_begin(in.values.size(), shards, s);
+    const std::size_t len = shard_size(in.values.size(), shards, s);
+    parts.emplace_back(every_model);
+    parts.back().add_trace_batch(std::span(in.pts).subspan(begin, len),
+                                 std::span(in.cts).subspan(begin, len),
+                                 std::span(in.values).subspan(begin, len));
+  }
+  return parts;
+}
+
+// The same slices as dense reference histograms folded bin-wise in shard
+// order.
+ReferenceHistograms merged_reference(const OracleInput& in,
+                                     std::size_t shards) {
+  std::optional<ReferenceHistograms> merged;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t begin = shard_begin(in.values.size(), shards, s);
+    const std::size_t len = shard_size(in.values.size(), shards, s);
+    const ReferenceHistograms part(std::span(in.pts).subspan(begin, len),
+                                   std::span(in.cts).subspan(begin, len),
+                                   std::span(in.values).subspan(begin, len));
+    if (merged) {
+      merged->merge(part);
+    } else {
+      merged.emplace(part);
+    }
+  }
+  return *merged;
+}
+
+void expect_log_parts_merge_like_dense_histograms(const OracleInput& in) {
+  constexpr std::size_t shards = 5;
+  const ReferenceHistograms want = merged_reference(in, shards);
+  const std::vector<CpaEngine> parts = shard_parts(in, shards);
+  for (const CpaEngine& part : parts) {
+    ASSERT_FALSE(part.pair_histogram_dense());
+  }
+  // Into an empty target (run_cpa_job) and into shard 0 (the GE
+  // checkpoint reduction).
+  CpaEngine into_empty(every_model);
+  for (const CpaEngine& part : parts) {
+    into_empty.merge(part);
+  }
+  CpaEngine into_first = parts[0].snapshot();
+  for (std::size_t s = 1; s < shards; ++s) {
+    into_first.merge(parts[s]);
+  }
+  EXPECT_TRUE(into_empty.pair_histogram_dense());
+  EXPECT_TRUE(into_first.pair_histogram_dense());
+  expect_engines_match_reference({&into_empty, &into_first}, want, in.key);
+}
+
+TEST(CpaPairLog, ShardPartsMergeLikeDenseHistogramsInShardOrder) {
+  expect_log_parts_merge_like_dense_histograms(
+      make_oracle_input(95, 20000, hd_leak));
+}
+
+TEST(CpaPairLog, ShardPartsMergeWithExactZeroPartialSums) {
+  expect_log_parts_merge_like_dense_histograms(
+      make_oracle_input(93, 2000, zero_or_negative_leak));
+}
+
+TEST(CpaPairLog, DenseIntoDenseMergeMatchesReference) {
+  const OracleInput in = make_oracle_input(96, 4000, hd_leak);
+  const std::vector<CpaEngine> parts = shard_parts(in, 2);
+  CpaEngine first(every_model);
+  first.merge(parts[0]);
+  CpaEngine second(every_model);
+  second.merge(parts[1]);
+  ASSERT_TRUE(second.pair_histogram_dense());
+  first.merge(second);
+  expect_engines_match_reference({&first}, merged_reference(in, 2), in.key);
+}
+
+TEST(CpaPairLog, EngineFedPastTheLogLimitMatchesSequentialReference) {
+  constexpr std::size_t limit = CpaEngine::pair_log_limit;
+  const OracleInput in = make_oracle_input(97, limit + 5000, hd_leak);
+  CpaEngine engine(every_model);
+  const auto feed = [&](std::size_t begin, std::size_t len) {
+    engine.add_trace_batch(std::span(in.pts).subspan(begin, len),
+                           std::span(in.cts).subspan(begin, len),
+                           std::span(in.values).subspan(begin, len));
+  };
+  feed(0, limit - 1000);
+  feed(limit - 1000, 1000);
+  EXPECT_FALSE(engine.pair_histogram_dense());  // exactly at the limit
+  feed(limit, 3);
+  EXPECT_TRUE(engine.pair_histogram_dense());
+  feed(limit + 3, 4997);
+  expect_engines_match_reference(
+      {&engine}, ReferenceHistograms(in.pts, in.cts, in.values), in.key);
+}
+
+TEST(CpaPairLog, LogStateAnalysisEqualsDenseStateAnalysis) {
+  for (const OracleInput& in :
+       {make_oracle_input(98, 6000, hd_leak),
+        make_oracle_input(93, 2000, zero_or_negative_leak)}) {
+    CpaEngine log(every_model);
+    log.add_trace_batch(in.pts, in.cts, in.values);
+    CpaEngine dense(every_model);
+    dense.merge(log);
+    ASSERT_FALSE(log.pair_histogram_dense());
+    ASSERT_TRUE(dense.pair_histogram_dense());
+    for (const power::PowerModel model : every_model) {
+      for (std::size_t byte = 0; byte < 16; ++byte) {
+        const ByteRanking a = log.analyze_byte(model, byte);
+        const ByteRanking b = dense.analyze_byte(model, byte);
+        for (std::size_t g = 0; g < 256; ++g) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a.correlation[g]),
+                    std::bit_cast<std::uint64_t>(b.correlation[g]))
+              << power::power_model_name(model) << " byte " << byte
+              << " guess " << g;
+        }
+      }
+    }
+  }
+}
+
+void expect_same_model_result(const ModelResult& a, const ModelResult& b) {
+  EXPECT_EQ(a.model, b.model);
+  for (std::size_t i = 0; i < 16; ++i) {
+    for (std::size_t g = 0; g < 256; ++g) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.bytes[i].correlation[g]),
+                std::bit_cast<std::uint64_t>(b.bytes[i].correlation[g]))
+          << "byte " << i << " guess " << g;
+    }
+  }
+  EXPECT_EQ(a.true_ranks, b.true_ranks);
+  EXPECT_EQ(a.scored_key, b.scored_key);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.ge_bits),
+            std::bit_cast<std::uint64_t>(b.ge_bits));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_rank),
+            std::bit_cast<std::uint64_t>(b.mean_rank));
+  EXPECT_EQ(a.best_round_key, b.best_round_key);
+  EXPECT_EQ(a.implied_master_key, b.implied_master_key);
+  EXPECT_EQ(a.recovered_bytes, b.recovered_bytes);
+  EXPECT_EQ(a.near_recovered_bytes, b.near_recovered_bytes);
+}
+
+TEST(CpaEngine, AnalyzeWidthDoesNotChangeTheResult) {
+  const OracleInput in = make_oracle_input(99, 8000, hd_leak);
+  CpaEngine log(every_model);
+  log.add_trace_batch(in.pts, in.cts, in.values);
+  CpaEngine dense(every_model);
+  dense.merge(log);
+  const auto round_keys = aes::Aes128(in.key).round_keys();
+  for (const CpaEngine* engine : {&log, &dense}) {
+    for (const power::PowerModel model : every_model) {
+      SCOPED_TRACE(power::power_model_name(model));
+      expect_same_model_result(engine->analyze(model, round_keys, 1),
+                               engine->analyze(model, round_keys, 4));
+    }
   }
 }
 
@@ -624,7 +820,7 @@ TEST(CpaEngine, MergeIntoEmptyEngineEqualsCopy) {
   CpaEngine fed({power::PowerModel::rd0_hw});
   for (int t = 0; t < 500; ++t) {
     const aes::Block pt = random_block(rng);
-    fed.add_trace(pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
+    add_one(fed, pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
   }
   CpaEngine empty({power::PowerModel::rd0_hw});
   empty.merge(fed);

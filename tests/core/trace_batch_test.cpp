@@ -131,8 +131,9 @@ TEST(TraceBatch, CpaBatchFeedingBitIdenticalToPerTrace) {
 
   CpaEngine looped(models);
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    looped.add_trace(batch.plaintexts()[t], batch.ciphertexts()[t],
-                     batch.column(1)[t]);
+    looped.add_trace_batch(batch.plaintexts().subspan(t, 1),
+                           batch.ciphertexts().subspan(t, 1),
+                           batch.column(1).subspan(t, 1));
   }
 
   ASSERT_EQ(batched.trace_count(), looped.trace_count());
