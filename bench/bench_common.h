@@ -50,10 +50,11 @@ inline std::size_t bench_shards() {
 // differ from (while statistically matching) a sequential run.
 template <typename CampaignConfig>
 inline void apply_parallel_env(CampaignConfig& config) {
-  config.workers = bench_workers();
+  const std::size_t workers = bench_workers();
+  config.workers = workers;
   config.shards = bench_shards();
-  if (config.workers > 1 || config.shards > 1) {
-    std::cout << "parallel plan: " << config.workers << " worker(s), "
+  if (workers > 1 || config.shards > 1) {
+    std::cout << "parallel plan: " << workers << " worker(s), "
               << config.shards << " shard(s) — results reproduce for this "
               << "(seed, shards) pair under any worker count\n";
   }

@@ -422,71 +422,9 @@ void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
                "no such dataset: " + dataset);
     return;
   }
-  const std::uint64_t id =
-      jobs_->submit(session, kind, std::move(dataset), cpa, tvla);
-  if (id == 0) {
-    send_error(socket, ErrorCode::quota_exceeded,
-               "session quota of " + std::to_string(config_.per_session_quota) +
-                   " in-flight jobs reached");
-    return;
-  }
-  PayloadWriter w;
-  JobIdMsg{id}.encode(w);
-  send_frame(socket, MsgType::job_accepted, w);
-
-  // Each job gets a dedicated driver thread instead of one whole-job
-  // pool task: the driver posts the job's shard units to the pool under
-  // its fair in-flight cap and blocks merging them, so a blocked driver
-  // never occupies a pool slot, and units from every active job
-  // interleave in the pool's FIFO queue. The closure owns everything it
-  // touches: the table keeps the job row alive, the mapping keeps the
-  // dataset bytes alive, both independent of this daemon's sockets and
-  // of the submitting client, which may disconnect long before the job
-  // finishes.
-  std::shared_ptr<JobTable> table = jobs_;
-  std::shared_ptr<store::ChunkCache> cache = chunk_cache_;
-  const std::uint32_t parallelism = shard_parallelism();
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  auto driver = [table, mapping, cache, parallelism, done, id, kind, cpa,
-                 tvla] {
-    table->mark_running(id);
-    try {
-      JobExecOptions exec;
-      exec.chunk_cache = cache;
-      if (parallelism > 1) {
-        exec.shard_budget = [table, id, parallelism] {
-          return table->shard_budget(id, parallelism);
-        };
-      }
-      exec.on_shard_activity = [table, id](std::uint32_t shards,
-                                           std::uint32_t running) {
-        table->update_shard_activity(id, shards, running);
-      };
-      const JobProgressFn progress = [&](std::uint64_t consumed,
-                                         std::uint64_t total) {
-        table->update_progress(id, consumed, total);
-      };
-      if (kind == JobKind::cpa) {
-        auto result = std::make_unique<CpaJobResult>(
-            run_cpa_job(mapping, cpa, progress, exec));
-        table->mark_done(id, std::move(result), nullptr);
-      } else {
-        auto result = std::make_unique<TvlaJobResult>(
-            run_tvla_job(mapping, tvla, progress, exec));
-        table->mark_done(id, nullptr, std::move(result));
-      }
-    } catch (const std::exception& e) {
-      table->mark_failed(id, e.what());
-    } catch (...) {
-      table->mark_failed(id, "unknown job failure");
-    }
-    done->store(true, std::memory_order_release);
-  };
-  {
-    std::lock_guard<std::mutex> lock(drivers_mu_);
-    reap_drivers_locked();
-    drivers_.push_back({std::thread(std::move(driver)), std::move(done)});
-  }
+  start_job(socket,
+            jobs_->submit(session, kind, std::move(dataset), cpa, tvla),
+            std::move(mapping));
 }
 
 void BusDaemon::submit_scenario_job(Socket& socket, std::uint64_t session,
@@ -512,9 +450,14 @@ void BusDaemon::submit_scenario_job(Socket& socket, std::uint64_t session,
     send_error(socket, ErrorCode::bad_request, e.what());
     return;
   }
-  const std::uint64_t id = jobs_->submit(session, JobKind::scenario,
-                                         /*dataset=*/"", CpaJobSpec{},
-                                         TvlaJobSpec{}, spec);
+  start_job(socket,
+            jobs_->submit(session, JobKind::scenario, /*dataset=*/"",
+                          CpaJobSpec{}, TvlaJobSpec{}, spec),
+            nullptr);
+}
+
+void BusDaemon::start_job(Socket& socket, std::uint64_t id,
+                          std::shared_ptr<const store::SharedMapping> mapping) {
   if (id == 0) {
     send_error(socket, ErrorCode::quota_exceeded,
                "session quota of " + std::to_string(config_.per_session_quota) +
@@ -525,25 +468,61 @@ void BusDaemon::submit_scenario_job(Socket& socket, std::uint64_t session,
   JobIdMsg{id}.encode(w);
   send_frame(socket, MsgType::job_accepted, w);
 
-  // Same driver-thread pattern as the dataset jobs; the scenario runner
-  // fans shards out through the core worker pool itself, so the driver
-  // only needs a worker count. The resolved shard count — and with it
-  // the result — is a pure function of the spec (see scenario_jobs.h),
-  // so the pool size here can never make a served job differ from a
-  // client's local verification run.
+  // Each job gets a dedicated driver thread instead of one whole-job
+  // pool task: the driver posts the job's shard units to the pool under
+  // its fair in-flight cap and blocks merging them, so a blocked driver
+  // never occupies a pool slot, and units from every active job
+  // interleave in the pool's FIFO queue. Every job kind runs under the
+  // same budget and activity hook. The closure owns everything it
+  // touches: the table keeps the job row alive, the mapping keeps a
+  // dataset job's bytes alive, both independent of this daemon's
+  // sockets and of the submitting client, which may disconnect long
+  // before the job finishes. The resolved shard count, and with it the
+  // result, is a pure function of the spec (jobs.h, scenario_jobs.h), so
+  // the budget can never make a served job differ from a client's local
+  // verification run.
   std::shared_ptr<JobTable> table = jobs_;
-  const std::uint32_t workers = shard_parallelism();
+  std::shared_ptr<store::ChunkCache> cache = chunk_cache_;
+  const std::uint32_t parallelism = shard_parallelism();
   auto done = std::make_shared<std::atomic<bool>>(false);
-  auto driver = [table, spec = std::move(spec), workers, done, id] {
+  auto driver = [table, mapping = std::move(mapping), cache, parallelism,
+                 done, id] {
+    const std::shared_ptr<const Job> job = table->find(id);
     table->mark_running(id);
     try {
+      JobExecOptions exec;
+      exec.chunk_cache = cache;
+      exec.shard_budget = [table, id, parallelism] {
+        return table->shard_budget(id, parallelism);
+      };
+      exec.on_shard_activity = [table, id](std::size_t shards,
+                                           std::size_t running) {
+        table->update_shard_activity(id, static_cast<std::uint32_t>(shards),
+                                     static_cast<std::uint32_t>(running));
+      };
       const JobProgressFn progress = [&](std::uint64_t consumed,
                                          std::uint64_t total) {
         table->update_progress(id, consumed, total);
       };
-      auto result = std::make_unique<ScenarioJobResult>(
-          run_scenario_job(spec, progress, workers));
-      table->mark_done(id, nullptr, nullptr, std::move(result));
+      switch (job->kind) {
+        case JobKind::cpa:
+          table->mark_done(id,
+                           std::make_unique<CpaJobResult>(run_cpa_job(
+                               mapping, job->cpa_spec, progress, exec)),
+                           nullptr);
+          break;
+        case JobKind::tvla:
+          table->mark_done(id, nullptr,
+                           std::make_unique<TvlaJobResult>(run_tvla_job(
+                               mapping, job->tvla_spec, progress, exec)));
+          break;
+        case JobKind::scenario:
+          table->mark_done(
+              id, nullptr, nullptr,
+              std::make_unique<ScenarioJobResult>(run_scenario_job(
+                  job->scenario_spec, progress, shard_unit_budget(exec))));
+          break;
+      }
     } catch (const std::exception& e) {
       table->mark_failed(id, e.what());
     } catch (...) {

@@ -2,14 +2,15 @@
 //
 // One accept-loop thread plus one thread per client connection speak the
 // framed protocol of bus/protocol.h over a Unix-domain socket. Submitted
-// campaigns become job-table entries executed shard-parallel: each job
-// gets a dedicated driver thread (drivers mostly block, so they must not
-// occupy pool slots) that fans the job's shard units out on the
-// process-wide core::WorkerPool and merges them in shard order. All
-// jobs' units interleave in the pool's FIFO queue, and each driver
-// re-reads its fair in-flight cap (JobTable::shard_budget — the shard
-// parallelism budget split evenly over active jobs) before issuing a
-// unit, so one huge job shrinks its window as small jobs arrive instead
+// campaigns (dataset CPA/TVLA jobs and scenario jobs alike) become
+// job-table entries executed shard-parallel: each job gets a dedicated
+// driver thread (drivers mostly block, so they must not occupy pool
+// slots) that fans the job's shard units out on the process-wide
+// core::WorkerPool (core::run_shard_units) and merges them in shard
+// order. All jobs' units interleave in the pool's FIFO queue, and each
+// driver re-reads its fair in-flight cap (JobTable::shard_budget — the
+// shard parallelism budget split evenly over active jobs) before issuing
+// a unit, so one huge job shrinks its window as small jobs arrive instead
 // of starving them; every job's result stays a pure function of
 // (dataset, spec) regardless. Datasets resolve through the
 // DatasetRegistry: one shared mmap per file, any number of jobs on top,
@@ -122,6 +123,11 @@ class BusDaemon {
   // connection that stays open.
   void submit_scenario_job(Socket& socket, std::uint64_t session,
                            ScenarioJobSpec spec);
+  // Answers a submit the job table charged as `id` (0: quota_exceeded)
+  // and runs the job on its own driver thread; `mapping` is the dataset
+  // of a cpa/tvla job, null for a scenario job.
+  void start_job(Socket& socket, std::uint64_t id,
+                 std::shared_ptr<const store::SharedMapping> mapping);
   void stream_watch(Socket& socket, std::uint64_t id);
   void send_result(Socket& socket, std::uint64_t id);
   void request_stop();  // async: nudges the stopper thread

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <stdexcept>
 
 #include "core/analysis_sink.h"
@@ -31,78 +30,13 @@ std::unique_ptr<store::TraceFileReader> make_shard_reader(
   return reader;
 }
 
-// Runs fn(s) for every shard in [0, shards) and on_merged(s) strictly in
-// ascending shard order on the calling thread — the deterministic merge
-// hook. Without a shard budget everything runs sequentially inline; with
-// one, units are posted to the worker pool with a sliding in-flight
-// window re-capped from exec.shard_budget() before each unit is issued,
-// and the caller finishes units in post order (so at most ~cap shard
-// engines are ever alive). Each cap read grows the pool to that many
-// threads, so the window is as wide as the budget whatever ran before.
-// If any unit threw, the exception of the lowest-indexed failing shard
-// is rethrown after every unit finished; shards whose unit failed are
-// never merged.
-void run_shard_units(std::uint32_t shards, const JobExecOptions& exec,
-                     const std::function<void(std::uint32_t)>& fn,
-                     const std::function<void(std::uint32_t)>& on_merged) {
-  if (exec.on_shard_activity) {
-    exec.on_shard_activity(shards, 0);
-  }
-  if (!exec.shard_budget || shards <= 1) {
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      fn(s);
-      on_merged(s);
-    }
-    return;
-  }
-
-  std::vector<std::exception_ptr> errors(shards);
-  std::atomic<std::uint32_t> running{0};
-  const auto unit = [&](std::uint32_t s) {
-    const std::uint32_t started = running.fetch_add(1) + 1;
-    if (exec.on_shard_activity) {
-      exec.on_shard_activity(shards, started);
-    }
-    try {
-      fn(s);
-    } catch (...) {
-      errors[s] = std::current_exception();
-    }
-    const std::uint32_t left = running.fetch_sub(1) - 1;
-    if (exec.on_shard_activity) {
-      exec.on_shard_activity(shards, left);
-    }
-  };
-
-  core::WorkerPool& pool = core::WorkerPool::instance();
-  core::WorkerPool::JobGroup group(pool);
-  std::uint32_t merged = 0;
-  const auto drain_one = [&] {
-    group.finish_next();
-    if (errors[merged] == nullptr) {
-      on_merged(merged);
-    }
-    ++merged;
-  };
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint32_t cap = std::max<std::uint32_t>(1, exec.shard_budget());
-    pool.reserve(cap);
-    while (group.in_flight() >= cap) {
-      drain_one();
-    }
-    group.post([&unit, s] { unit(s); });
-  }
-  while (group.in_flight() > 0) {
-    drain_one();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
-}
-
 }  // namespace
+
+core::ShardBudget shard_unit_budget(const JobExecOptions& exec) {
+  core::ShardBudget budget = exec.shard_budget;
+  budget.on_activity = exec.on_shard_activity;
+  return budget;
+}
 
 std::uint32_t resolved_job_shards(std::uint32_t spec_shards,
                                   std::uint64_t total_traces) noexcept {
@@ -153,7 +87,7 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
   core::CpaEngine engine(spec.models);
   std::vector<std::unique_ptr<core::CpaEngine>> parts(shards);
   std::atomic<std::uint64_t> consumed{0};
-  const auto run_shard = [&](std::uint32_t s) {
+  const auto run_shard = [&](std::size_t s) {
     const std::size_t begin = core::shard_begin(total, shards, s);
     const std::size_t count = core::shard_size(total, shards, s);
     auto part = std::make_unique<core::CpaEngine>(spec.models);
@@ -176,17 +110,17 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
     }
     parts[s] = std::move(part);
   };
-  run_shard_units(shards, exec, run_shard, [&](std::uint32_t s) {
-    engine.merge(*parts[s]);
-    parts[s].reset();
-  });
+  core::run_shard_units(shards, shard_unit_budget(exec), run_shard,
+                        [&](std::size_t s) {
+                          engine.merge(*parts[s]);
+                          parts[s].reset();
+                        });
 
   CpaJobResult result;
   result.traces = total;
   const auto round_keys = aes::Aes128::expand_key(spec.known_key);
   // The byte positions are analyzed at the job's shard budget.
-  const std::size_t width =
-      exec.shard_budget ? std::max<std::uint32_t>(1, exec.shard_budget()) : 1;
+  const std::size_t width = exec.shard_budget.read();
   result.models.reserve(spec.models.size());
   for (const power::PowerModel model : spec.models) {
     result.models.push_back(engine.analyze(model, round_keys, width));
@@ -232,7 +166,7 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
   core::TvlaSink merged(channel_count);
   std::vector<std::unique_ptr<core::TvlaSink>> parts(shards);
   std::atomic<std::uint64_t> consumed{0};
-  const auto run_shard = [&](std::uint32_t s) {
+  const auto run_shard = [&](std::size_t s) {
     auto sink = std::make_unique<core::TvlaSink>(channel_count);
     core::TraceBatch batch(channel_count);
     for (std::size_t set = 0; set < 6; ++set) {
@@ -260,10 +194,11 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
     }
     parts[s] = std::move(sink);
   };
-  run_shard_units(shards, exec, run_shard, [&](std::uint32_t s) {
-    merged.merge(*parts[s]);
-    parts[s].reset();
-  });
+  core::run_shard_units(shards, shard_unit_budget(exec), run_shard,
+                        [&](std::size_t s) {
+                          merged.merge(*parts[s]);
+                          parts[s].reset();
+                        });
 
   TvlaJobResult result;
   result.traces_per_set = per_set;

@@ -12,19 +12,20 @@
 // EXECUTION (the split PR 1 established for campaigns, applied to served
 // jobs):
 //
-//   - Without a shard budget (the default, and the --verify-local path)
-//     shards run sequentially on the calling thread.
-//   - With one, up to budget() shard units run concurrently as posted
-//     worker-pool jobs, and the pool grows to the budget it reads. The
-//     caller drains units in shard order and merges incrementally, so
-//     the merge order never depends on completion order. Alive at once
-//     are the merge target plus at most ~budget shard parts; a CPA part
-//     keeps its Rd10-HD pair data as a 24 B/trace log (core/cpa.h), so
-//     only the target holds the ~12 MB dense pair histogram. The budget
-//     is re-read before each unit is issued, which is how the daemon's
-//     fair scheduler shrinks a running job's window when new jobs
-//     arrive. run_cpa_job then analyzes the 16 byte positions on up to
-//     budget() pool threads.
+//   - At the default budget of 1 (the --verify-local path) shards run
+//     sequentially on the calling thread.
+//   - Above it, up to budget shard units run concurrently on the worker
+//     pool through core::run_shard_units, the one shard fan-out, and the
+//     pool grows to the budget it reads. The caller drains units in
+//     shard order and merges incrementally, so the merge order never
+//     depends on completion order. Alive at once are the merge target
+//     plus at most two budgets' worth of shard parts; a CPA part keeps its
+//     Rd10-HD pair data as a 24 B/trace log (core/cpa.h), so only the
+//     target holds the ~12 MB dense pair histogram. The budget is
+//     re-read before each unit is issued, which is how the daemon's fair
+//     scheduler shrinks a running job's window when new jobs arrive.
+//     run_cpa_job then analyzes the 16 byte positions on up to budget
+//     pool threads.
 //
 // TVLA replay labeling: a PSTR file carries no (class, collection)
 // labels, so TVLA-over-file assumes the dataset was recorded in TVLA
@@ -43,6 +44,7 @@
 #include "aes/aes128.h"
 #include "core/campaigns.h"
 #include "core/cpa.h"
+#include "core/parallel.h"
 #include "core/tvla.h"
 #include "power/hypothetical.h"
 #include "store/shared_mapping.h"
@@ -76,21 +78,25 @@ std::uint32_t resolved_job_shards(std::uint32_t spec_shards,
 
 // Execution knobs — how a job runs, never what it computes.
 struct JobExecOptions {
-  // Max shard units to keep in flight on the worker pool, re-read before
-  // each unit is issued (values < 1 are treated as 1). Null: shards run
+  // Max shard units to keep in flight on the worker pool, read before
+  // each unit is issued (core::ShardBudget: a count, or a live callable
+  // like the daemon's fair share). The default, 1, runs shards
   // sequentially on the calling thread, touching no pool state — the
   // in-process verification path.
-  std::function<std::uint32_t()> shard_budget;
+  core::ShardBudget shard_budget;
   // Shared decoded-chunk cache for the shard readers (null = every
   // reader decodes privately, the legacy behavior).
   std::shared_ptr<store::ChunkCache> chunk_cache;
   // Observer of shard-unit activity: (resolved shard count, units
   // currently running). Called once with running = 0 when the shard
-  // count resolves, then from unit threads as they start and finish —
-  // concurrently under a shard budget.
-  std::function<void(std::uint32_t shards, std::uint32_t running)>
-      on_shard_activity;
+  // count resolves, then as units start and finish — from pool threads,
+  // concurrently, under a budget above 1.
+  core::ShardActivityFn on_shard_activity;
 };
+
+// The budget a job's shard units run under: exec.shard_budget, observed
+// by exec.on_shard_activity. Every job kind runs its units under it.
+core::ShardBudget shard_unit_budget(const JobExecOptions& exec);
 
 struct CpaJobSpec {
   std::uint32_t channel = 0;  // FourCC code of the attacked column

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "scenario/registry.h"
 
@@ -22,7 +23,7 @@ std::uint32_t resolved_scenario_shards(
 
 ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
                                    const JobProgressFn& progress,
-                                   std::size_t workers) {
+                                   core::ShardBudget workers) {
   const std::shared_ptr<const scenario::Scenario> sc =
       scenario::ScenarioRegistry::built_in().find(spec.scenario);
   if (sc == nullptr) {
@@ -37,6 +38,9 @@ ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
   const std::uint64_t per_set =
       spec.traces_per_set != 0 ? spec.traces_per_set
                                : sc->analysis(params).default_traces_per_set;
+  // Resolved here, never left at 0: a live budget must not size the
+  // shard count (core::resolve_shards rejects that), and the count is
+  // result-determining.
   const std::uint32_t shards = resolved_scenario_shards(spec, per_set);
   if (shards > per_set) {
     throw std::invalid_argument("run_scenario_job: more shards than traces");
@@ -45,12 +49,10 @@ ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
   scenario::ScenarioRunConfig config;
   config.traces_per_set = static_cast<std::size_t>(per_set);
   config.seed = spec.seed;
-  config.workers = std::max<std::size_t>(1, workers);
+  config.workers = std::move(workers);
   config.shards = shards;
   if (progress) {
-    config.progress = [progress](std::size_t consumed, std::size_t total) {
-      progress(consumed, total);
-    };
+    config.progress = progress;
   }
   return scenario::run_scenario(*sc, params, config);
 }

@@ -6,10 +6,10 @@
 // a driver thread per job, and in-process verification (`psc_busctl
 // submit scenario --verify-local`, the ctest suite) calls the same
 // function directly. Scenario results are a pure function of (scenario,
-// params, traces_per_set, seed, shards) — the worker count only changes
+// params, traces_per_set, seed, shards) — the shard budget only changes
 // how fast they arrive (tests/scenario asserts worker invariance) — so
-// the daemon may execute with however many pool threads it owns while a
-// client verifies sequentially, and the doubles still match bit for bit.
+// the daemon may execute under its fair-share budget while a client
+// verifies sequentially, and the doubles still match bit for bit.
 // As with the dataset jobs, a spec shard count of 0 auto-sizes through a
 // policy that is a pure function of the trace budget (resolved_job_shards
 // clamped to the per-set size), never of worker availability; anything
@@ -56,10 +56,14 @@ std::uint32_t resolved_scenario_shards(const ScenarioJobSpec& spec,
 // the generic sink campaign. Throws std::invalid_argument for an unknown
 // scenario name, malformed/out-of-range params, or an unsatisfiable
 // shard count — the daemon's typed-error path. `workers` is an execution
-// knob only (threads for the sharded pipeline); it never shows in the
-// result.
+// knob only and never shows in the result: the shard-unit budget of the
+// one shard fan-out (core::run_shard_units). A count runs that many
+// units at once (1, the default, runs them inline: the --verify-local
+// path); the daemon passes the same live fair-share budget and activity
+// hook its dataset jobs get (shard_unit_budget), re-read before each
+// unit is issued.
 ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
                                    const JobProgressFn& progress = {},
-                                   std::size_t workers = 1);
+                                   core::ShardBudget workers = 1);
 
 }  // namespace psc::bus

@@ -8,9 +8,10 @@
 // pass produces CPA rankings, TVLA matrices and guessing-entropy
 // checkpoints concurrently — one trace budget, all the statistics.
 //
-// Sinks are shard-local: each shard of core::ParallelRunner owns its own
-// sinks, and the campaign merges per-sink partial state in shard order
-// (CpaSink::merge / TvlaSink::merge), exactly like the bare engines.
+// Sinks are shard-local: each shard unit (core::run_shard_units) owns its
+// own sinks, and the campaign merges per-sink partial state in shard
+// order as each unit drains (CpaSink::merge / TvlaSink::merge), exactly
+// like the bare engines.
 //
 // Sinks need not compute anything: store::RecordingSink
 // (store/trace_file_writer.h) tees the acquisition stream to a PSTR

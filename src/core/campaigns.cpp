@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <optional>
+#include <stdexcept>
 
 namespace psc::core {
 
@@ -67,28 +67,39 @@ std::vector<std::size_t> key_column_indices(
   return columns;
 }
 
-// Shared post-pass reduction: folds per-shard GeCheckpointSinks into GE
-// curves and final results for each attacked key. Snapshots are released
-// as soon as they are merged (release_snapshot), so the working set
-// shrinks checkpoint by checkpoint instead of lingering until the whole
-// reduction is done.
-void reduce_cpa_sinks(std::vector<std::vector<GeCheckpointSink>>& shard_sinks,
-                      const std::vector<std::size_t>& checkpoints,
-                      const std::vector<power::PowerModel>& models,
-                      const std::array<aes::Block, aes::num_rounds + 1>&
-                          round_keys,
-                      std::vector<CpaKeyResult>& out) {
+// Folds one drained shard's GE snapshots into the per-(attacked key,
+// checkpoint) targets. The first shard's snapshots become the targets
+// and later shards merge into them in shard order: bit-identical to the
+// engine a sequential run holds at each checkpoint. Snapshots are
+// released as they merge, so only the targets and the shard parts still
+// in the window are alive.
+void merge_ge_snapshots(std::vector<GeCheckpointSink>& sinks,
+                        std::vector<std::vector<CpaEngine>>& targets) {
+  for (std::size_t k = 0; k < sinks.size(); ++k) {
+    for (std::size_t ci = 0; ci < sinks[k].snapshots().size(); ++ci) {
+      CpaEngine snapshot = sinks[k].release_snapshot(ci);
+      if (targets[k].size() == ci) {
+        targets[k].push_back(std::move(snapshot));
+      } else {
+        targets[k][ci].merge(snapshot);
+      }
+    }
+  }
+  sinks.clear();
+}
+
+// Analyzes the merged targets into GE curves and final results for each
+// attacked key, releasing each target once analyzed.
+void analyze_ge_targets(std::vector<std::vector<CpaEngine>>& targets,
+                        const std::vector<std::size_t>& checkpoints,
+                        const std::vector<power::PowerModel>& models,
+                        const std::array<aes::Block, aes::num_rounds + 1>&
+                            round_keys,
+                        std::vector<CpaKeyResult>& out) {
   for (std::size_t k = 0; k < out.size(); ++k) {
     out[k].curves.resize(models.size());
     for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
-      // Merge the ci-th snapshot of every shard in shard order:
-      // bit-identical to the engine a sequential run would hold at this
-      // checkpoint.
-      CpaEngine combined = shard_sinks[0][k].release_snapshot(ci);
-      for (std::size_t s = 1; s < shard_sinks.size(); ++s) {
-        const CpaEngine shard = shard_sinks[s][k].release_snapshot(ci);
-        combined.merge(shard);
-      }
+      const CpaEngine combined = std::move(targets[k][ci]);
       for (std::size_t m = 0; m < models.size(); ++m) {
         const ModelResult res = combined.analyze(models[m], round_keys);
         out[k].curves[m].push_back({checkpoints[ci], res.ge_bits,
@@ -104,7 +115,8 @@ void reduce_cpa_sinks(std::vector<std::vector<GeCheckpointSink>>& shard_sinks,
 // Cumulative cross-shard progress counter feeding a CampaignProgressFn;
 // null hook = no-op, so the acquisition loops call add() unconditionally.
 // Lives on the campaign's stack and is captured by reference in shard
-// lambdas — safe because ParallelRunner::map joins before returning.
+// units — safe because run_shard_units finishes every unit before
+// returning.
 class ProgressMeter {
  public:
   ProgressMeter(const CampaignProgressFn& fn, std::size_t total)
@@ -203,17 +215,17 @@ CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
   const std::vector<std::size_t> checkpoints =
       normalize_checkpoints(config.checkpoints, config.trace_count);
 
-  ShardPlan plan{.workers = config.workers, .shards = config.shards};
-  plan.shards = plan.resolved_shards_for(config.trace_count);
-  ParallelRunner runner(plan);
-  const std::size_t shards = runner.shards();
+  const std::size_t shards =
+      resolve_shards(config.shards, config.workers, config.trace_count);
   TraceBatchPool pool(channels.size(), acquisition_batch);
   ProgressMeter meter(config.progress, config.trace_count);
 
   // One single pass per shard: sinks snapshot engine state at the shard's
   // share of each checkpoint, so no mid-campaign merge barriers are
-  // needed. Device calibration also runs inside the worker pool.
-  auto shard_sinks = runner.map([&](std::size_t s) {
+  // needed. Device calibration also runs inside the shard unit.
+  std::vector<std::vector<GeCheckpointSink>> parts(shards);
+  std::vector<std::vector<CpaEngine>> cpa_targets(attack_keys.size());
+  const auto run_shard = [&](std::size_t s) {
     util::Xoshiro256 shard_rng = shards == 1 ? rng : rng.split(s);
     LiveTraceSource source(source_config, victim_key, shard_rng());
 
@@ -243,11 +255,14 @@ CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
       meter.add(chunk);
       produced += chunk;
     }
-    return sinks;
+    parts[s] = std::move(sinks);
+  };
+  run_shard_units(shards, config.workers, run_shard, [&](std::size_t s) {
+    merge_ge_snapshots(parts[s], cpa_targets);
   });
 
-  reduce_cpa_sinks(shard_sinks, checkpoints, config.models,
-                   result.round_keys, result.keys);
+  analyze_ge_targets(cpa_targets, checkpoints, config.models,
+                     result.round_keys, result.keys);
   return result;
 }
 
@@ -358,10 +373,8 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   // Auto shard sizing (shards == 0) counts the whole six-set budget, so
   // small assessments run on fewer shards than workers rather than paying
   // per-shard overhead for trivial jobs.
-  ShardPlan plan{.workers = config.workers, .shards = config.shards};
-  plan.shards = plan.resolved_shards_for(6 * config.traces_per_set);
-  ParallelRunner runner(plan);
-  const std::size_t shards = runner.shards();
+  const std::size_t shards = resolve_shards(config.shards, config.workers,
+                                            6 * config.traces_per_set);
   TraceBatchPool pool(channels.size(), acquisition_batch);
   ProgressMeter meter(config.progress, 6 * config.traces_per_set);
 
@@ -369,8 +382,9 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
     TvlaSink tvla;
     std::vector<GeCheckpointSink> cpa;
   };
+  std::vector<std::unique_ptr<ShardResult>> parts(shards);
 
-  auto shard_results = runner.map([&](std::size_t s) {
+  const auto run_shard = [&](std::size_t s) {
     // A single-shard run continues the campaign stream so the sharded
     // pipeline reproduces the sequential implementation bit-for-bit;
     // multi-shard runs give each shard its own split stream.
@@ -395,14 +409,15 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
                         shard_size(cp - cp1, shards, s));
     }
 
-    ShardResult out{.tvla = TvlaSink(channels.size()), .cpa = {}};
-    out.cpa.reserve(config.cpa_columns.size());
+    auto out = std::make_unique<ShardResult>(
+        ShardResult{.tvla = TvlaSink(channels.size()), .cpa = {}});
+    out->cpa.reserve(config.cpa_columns.size());
     MultiSink multi;
-    multi.add(&out.tvla);
+    multi.add(&out->tvla);
     for (const std::size_t column : config.cpa_columns) {
-      out.cpa.emplace_back(config.models, column, targets);
+      out->cpa.emplace_back(config.models, column, targets);
     }
-    for (auto& sink : out.cpa) {
+    for (auto& sink : out->cpa) {
       multi.add(&sink);
     }
     if (config.extra_sink) {
@@ -430,27 +445,24 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
         }
       }
     }
-    return out;
+    parts[s] = std::move(out);
+  };
+
+  // Each shard merges as it drains, in shard order.
+  TvlaSink merged_tvla(channels.size());
+  std::vector<std::vector<CpaEngine>> cpa_targets(config.cpa_columns.size());
+  run_shard_units(shards, config.workers, run_shard, [&](std::size_t s) {
+    merged_tvla.merge(parts[s]->tvla);
+    merge_ge_snapshots(parts[s]->cpa, cpa_targets);
+    parts[s].reset();
   });
 
-  TvlaSink merged_tvla(channels.size());
-  for (const auto& shard : shard_results) {
-    merged_tvla.merge(shard.tvla);
-  }
   for (std::size_t c = 0; c < channels.size(); ++c) {
     result.tvla.push_back(
         {channels[c].str(), merged_tvla.accumulator(c).matrix()});
   }
-
-  if (!config.cpa_columns.empty()) {
-    std::vector<std::vector<GeCheckpointSink>> cpa_sinks;
-    cpa_sinks.reserve(shard_results.size());
-    for (auto& shard : shard_results) {
-      cpa_sinks.push_back(std::move(shard.cpa));
-    }
-    reduce_cpa_sinks(cpa_sinks, checkpoints, config.models, result.round_keys,
-                     result.cpa);
-  }
+  analyze_ge_targets(cpa_targets, checkpoints, config.models,
+                     result.round_keys, result.cpa);
   return result;
 }
 

@@ -7,11 +7,11 @@
 // into shards (core/parallel.h), each with its own RNG stream and trace
 // source (core/trace_source.h); shards acquire pooled TraceBatches and
 // feed them to AnalysisSinks (core/analysis_sink.h), whose partial state
-// merges in shard order. Guessing-entropy checkpoints are per-shard
-// engine snapshots — no mid-campaign merge barriers. Results are a pure
-// function of (seed, shards): any worker count gives bit-identical
-// output, and shards = 1 reproduces the original sequential loop
-// bit-for-bit.
+// merges in shard order as each shard unit drains (run_shard_units).
+// Guessing-entropy checkpoints are per-shard engine snapshots — no
+// mid-campaign merge barriers. Results are a pure function of (seed,
+// shards): any worker count gives bit-identical output, and shards = 1
+// reproduces the original sequential loop bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +54,9 @@ struct TvlaCampaignConfig {
   // Firmware countermeasure applied to the SMC channel (section 5).
   smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
   std::uint64_t seed = 1;
-  // Sharded execution (see core/parallel.h): workers = thread count,
+  // Sharded execution (see core/parallel.h): workers = units in flight,
   // shards = partial-state count (0 = one per worker; 1 = sequential).
-  std::size_t workers = 1;
+  ShardBudget workers = 1;
   std::size_t shards = 0;
   CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
@@ -92,9 +92,9 @@ struct CpaCampaignConfig {
   // Firmware countermeasure applied to the SMC channel (section 5).
   smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
   std::uint64_t seed = 1;
-  // Sharded execution (see core/parallel.h): workers = thread count,
+  // Sharded execution (see core/parallel.h): workers = units in flight,
   // shards = partial-state count (0 = one per worker; 1 = sequential).
-  std::size_t workers = 1;
+  ShardBudget workers = 1;
   std::size_t shards = 0;
   CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
@@ -150,7 +150,7 @@ struct CombinedCampaignConfig {
   std::vector<std::size_t> checkpoints;
   smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
   std::uint64_t seed = 1;
-  std::size_t workers = 1;
+  ShardBudget workers = 1;
   std::size_t shards = 0;
   CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
@@ -201,7 +201,8 @@ struct SinkCampaignConfig {
   // CPA trace counts at which to snapshot GE (over 2 * traces_per_set).
   std::vector<std::size_t> checkpoints;
   std::uint64_t seed = 1;
-  std::size_t workers = 1;
+  // A live budget (re-read per unit) needs an explicit shard count.
+  ShardBudget workers = 1;
   std::size_t shards = 0;
   CampaignProgressFn progress{};  // see CampaignProgressFn above
   // Optional extra per-shard sink (e.g. a store::RecordingSink teeing the

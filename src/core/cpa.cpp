@@ -349,13 +349,13 @@ ModelResult CpaEngine::analyze(
     std::size_t width) const {
   ModelResult result;
   result.model = model;
-  // Byte positions are independent reads of this engine; map() returns
-  // them in position order whatever thread ran each.
-  const std::vector<ByteRanking> bytes =
-      ParallelRunner(ShardPlan{.workers = width, .shards = 16})
-          .map([&](std::size_t i) { return analyze_byte(model, i); });
+  // Byte positions are independent reads of this engine, one shard unit
+  // each, written to their own slot whatever thread ran them.
+  run_shard_units(
+      16, width,
+      [&](std::size_t i) { result.bytes[i] = analyze_byte(model, i); },
+      [](std::size_t) {});
   for (std::size_t i = 0; i < 16; ++i) {
-    result.bytes[i] = bytes[i];
     const std::uint8_t truth =
         power::true_key_byte(model, true_round_keys, i);
     result.scored_key[i] = truth;

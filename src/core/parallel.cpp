@@ -1,6 +1,8 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <exception>
+#include <stdexcept>
 
 namespace psc::core {
 
@@ -22,6 +24,130 @@ std::size_t shard_begin(std::size_t total, std::size_t shards,
   // arithmetic below happening to cancel.
   s = std::min(s, shards);
   return s * (total / shards) + std::min(s, total % shards);
+}
+
+std::size_t resolve_shards(std::size_t shards, const ShardBudget& budget,
+                           std::size_t total_traces) {
+  if (shards != 0) {
+    return shards;
+  }
+  if (budget.live()) {
+    throw std::invalid_argument(
+        "resolve_shards: a live shard budget needs an explicit shard count");
+  }
+  const std::size_t by_size = total_traces / min_traces_per_shard;
+  return std::max<std::size_t>(1, std::min(budget.read(), by_size));
+}
+
+void run_shard_units(std::size_t shards, const ShardBudget& budget,
+                     const std::function<void(std::size_t)>& unit,
+                     const std::function<void(std::size_t)>& merge) {
+  const ShardActivityFn& observe = budget.on_activity;
+  if (observe) {
+    observe(shards, 0);
+  }
+  std::vector<std::exception_ptr> errors(shards);
+  // Fan-out state, guarded by mu. Units are claimed in shard order, so
+  // [0, claimed) have started; the caller waits on cv for them to finish.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<char> finished(shards, 0);
+  std::size_t claimed = 0;
+  std::size_t running = 0;
+  std::size_t merged = 0;
+  std::size_t workers = 0;  // pool jobs posted and not yet returned
+
+  // Runs claimed unit s; called and returns with `lock` held.
+  const auto run = [&](std::size_t s, std::unique_lock<std::mutex>& lock) {
+    std::size_t now = ++running;
+    lock.unlock();
+    if (observe) {
+      observe(shards, now);
+    }
+    try {
+      unit(s);
+    } catch (...) {
+      errors[s] = std::current_exception();
+    }
+    lock.lock();
+    finished[s] = 1;
+    now = --running;
+    cv.notify_all();
+    lock.unlock();
+    if (observe) {
+      observe(shards, now);
+    }
+    lock.lock();
+  };
+  // Whether a unit may be claimed under a budget read of `width`: at most
+  // width units running, and at most 2 * width claimed but not merged, so
+  // a slow unit keeps no thread idle while the parts alive stay bounded.
+  const auto room = [&](std::size_t width) {
+    return claimed < shards && running < width &&
+           claimed - merged < 2 * width;
+  };
+  // Reads the budget outside the lock; called and returns with it held.
+  const auto read_budget = [&](std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    const std::size_t width = budget.read();
+    lock.lock();
+    return width;
+  };
+  // A pool job: claims and runs units while the budget, read before each
+  // claim, has room.
+  const auto work = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    while (room(read_budget(lock))) {
+      run(claimed++, lock);
+    }
+    --workers;
+  };
+
+  // Posted jobs capture this frame, so every one is finished however the
+  // frame exits.
+  struct Jobs {
+    WorkerPool& pool = WorkerPool::instance();
+    std::vector<WorkerPool::AsyncTicket> tickets;
+    ~Jobs() {
+      for (WorkerPool::AsyncTicket& ticket : tickets) {
+        pool.finish(ticket);
+      }
+    }
+  } jobs;
+  std::unique_lock<std::mutex> lock(mu);
+  for (std::size_t next = 0; next < shards; ++next) {
+    while (finished[next] == 0) {
+      const std::size_t width = read_budget(lock);
+      // Keep up to `width` pool jobs claiming units. A budget of 1, or a
+      // single shard, posts none: every unit runs here.
+      while (width > 1 && shards > 1 && workers < width && room(width)) {
+        ++workers;
+        lock.unlock();
+        jobs.pool.reserve(width);
+        jobs.tickets.push_back(jobs.pool.post(work));
+        lock.lock();
+      }
+      if (claimed == next && room(width)) {
+        // No pool job has started unit `next`: run it here, so the
+        // fan-out never waits on a queue no thread drains.
+        run(claimed++, lock);
+      } else if (finished[next] == 0) {
+        cv.wait(lock);
+      }
+    }
+    lock.unlock();
+    if (errors[next] == nullptr) {
+      merge(next);
+    }
+    lock.lock();
+    ++merged;
+  }
+  lock.unlock();
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) {
+      std::rethrow_exception(error);
+    }
+  }
 }
 
 // One post()ed job. state transitions under mu_: queued -> running

@@ -12,41 +12,34 @@
 //   shards  determine the RESULT: campaign output is a pure function of
 //           (seed, shard count). shards == 1 reproduces the sequential
 //           pipeline bit-for-bit.
-//   workers determine the EXECUTION: how many threads run the shards. Any
-//           worker count yields bit-identical results for a fixed shard
-//           count, because per-shard work is self-contained and merges
-//           happen in shard order on the calling thread.
+//   workers determine the EXECUTION: how many shard units run at once
+//           (a ShardBudget). Any worker count yields bit-identical results
+//           for a fixed shard count, because per-shard work is
+//           self-contained and merges happen in shard order on the
+//           calling thread.
 //
 // Worker-pool scheduling
 // ----------------------
-// Shard jobs execute on a process-wide persistent WorkerPool rather than
-// threads spawned per map() call. The pool has one scheduling protocol:
-// a FIFO of posted jobs, each redeemed with finish(). It starts empty,
-// grows on demand, and keeps its threads until process exit, so later
-// campaigns reuse the threads earlier ones spawned. map() keeps a shard
-// counter local to the call, posts workers-1 helper loops that claim
-// shard indices from it, runs the same loop on the calling thread, and
-// then finishes every helper. finish() steals back a helper no pool
-// thread has started yet; it returns at once because the counter is
-// exhausted. So a map() never waits on a queue no thread can drain — a
-// map() from inside a pool job cannot deadlock — and maps issued from
-// different threads share the queue and run side by side. Exceptions
-// never cross the pool boundary: map() captures per-shard exceptions and
-// rethrows the lowest-indexed one on the calling thread.
+// Shard units run on a process-wide persistent WorkerPool with one
+// scheduling protocol: a FIFO of posted jobs, each redeemed with
+// finish(). It starts empty, grows to the widest budget read so far, and
+// keeps its threads until process exit, so later campaigns reuse the
+// threads earlier ones spawned. A fan-out's calling thread runs any unit
+// no pool job has started, and finish() steals back a job no pool thread
+// has started, so a fan-out never waits on a queue no thread can drain —
+// a fan-out from inside a pool job cannot deadlock — and fan-outs issued
+// from different threads share the queue and run side by side.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace psc::core {
@@ -56,38 +49,56 @@ namespace psc::core {
 // shard sizing never cuts jobs smaller than this.
 inline constexpr std::size_t min_traces_per_shard = 8192;
 
-struct ShardPlan {
-  std::size_t workers = 1;
-  // 0 = one shard per worker.
-  std::size_t shards = 0;
+// Observer of shard-unit activity: (shard count, units running now).
+using ShardActivityFn =
+    std::function<void(std::size_t shards, std::size_t running)>;
 
-  std::size_t resolved_workers() const noexcept {
-    return workers == 0 ? 1 : workers;
-  }
-  std::size_t resolved_shards() const noexcept {
-    return shards == 0 ? resolved_workers() : shards;
-  }
+// How wide a shard fan-out runs: an execution knob that never shows in a
+// result. It converts implicitly from a fixed worker count (a constant
+// budget) and from a callable read before each unit is issued (a live
+// budget, e.g. the bus daemon's fair share; it is read from pool threads
+// too, so it must be thread-safe and must not throw), so
+// `config.workers = 4` and `exec.shard_budget = [] { return 4u; }` both
+// work. The default budget is 1: every unit runs inline on the calling
+// thread.
+class ShardBudget {
+ public:
+  ShardBudget(std::size_t width = 1) noexcept : width_(width) {}
+  template <typename Fn>
+    requires std::is_invocable_r_v<std::size_t, Fn&>
+  ShardBudget(Fn read) : read_(std::move(read)) {}
 
-  // Shard count sized to the workload: an explicit shard count always
-  // wins (shards determine the result), but with shards == 0 the
-  // campaign picks one shard per worker *capped so every shard job gets
-  // at least min_traces_per_shard traces* — tiny runs stay on fewer
-  // shards instead of paying per-shard lease/merge overhead that dwarfs
-  // the work.
-  std::size_t resolved_shards_for(std::size_t total_traces) const noexcept {
-    if (shards != 0) {
-      return shards;
-    }
-    const std::size_t w = resolved_workers();
-    const std::size_t by_size = total_traces / min_traces_per_shard;
-    return std::max<std::size_t>(1, std::min(w, by_size));
+  // Units allowed in flight right now; never below 1.
+  std::size_t read() const {
+    const std::size_t width = read_ ? read_() : width_;
+    return width == 0 ? 1 : width;
   }
+  bool live() const noexcept { return static_cast<bool>(read_); }
+
+  // Optional observer: told (shards, 0) when a fan-out starts, then
+  // (shards, running) as each unit starts and finishes — from pool
+  // threads, concurrently, so it must be thread-safe.
+  ShardActivityFn on_activity;
+
+ private:
+  std::size_t width_ = 1;
+  std::function<std::size_t()> read_;
 };
 
+// Shard count for `total_traces` traces under `budget`: an explicit
+// `shards` always wins (shards determine the result). With shards == 0
+// the count is one shard per worker of a fixed budget, capped so every
+// shard gets at least min_traces_per_shard traces: tiny runs stay on
+// fewer shards instead of paying per-shard lease/merge overhead that
+// dwarfs the work. A live budget has no fixed width, and the result must
+// not depend on it, so it needs an explicit count: throws
+// std::invalid_argument on (shards == 0, live budget).
+std::size_t resolve_shards(std::size_t shards, const ShardBudget& budget,
+                           std::size_t total_traces);
+
 // Process-wide persistent worker pool (see "Worker-pool scheduling"
-// above). ParallelRunner::map is the intended interface for shard
-// fan-out; post()/finish() also serve side jobs (the store prefetcher)
-// and bus shard units (JobGroup).
+// above). run_shard_units is the interface for shard fan-out;
+// post()/finish() also serve side jobs (the store prefetcher).
 class WorkerPool {
   struct AsyncJob;  // private; defined in parallel.cpp
 
@@ -109,9 +120,10 @@ class WorkerPool {
     std::shared_ptr<AsyncJob> job_;
   };
 
-  // Enqueues one job for any idle pool thread: a map() helper loop, or
-  // the async leg of a double-buffered producer/consumer (the store
-  // prefetcher decodes chunk N+1 here while the caller ingests chunk N).
+  // Enqueues one job for any idle pool thread: a fan-out job claiming
+  // shard units, or the async leg of a double-buffered producer/consumer
+  // (the store prefetcher decodes chunk N+1 here while the caller ingests
+  // chunk N).
   // fn must not throw; it runs exactly once, on a pool thread or inline
   // in finish().
   AsyncTicket post(std::function<void()> fn);
@@ -124,51 +136,8 @@ class WorkerPool {
   // async-hit statistic); false for inline execution or an empty ticket.
   bool finish(AsyncTicket& ticket);
 
-  // Bounded fan-out of post()ed jobs, drained strictly in post order —
-  // the shape a shard-parallel bus job needs: keep a capped window of
-  // shard units in flight while merging finished units deterministically
-  // (unit s is always finished before unit s+1, whatever order the pool
-  // ran them in). finish_next() inherits finish()'s steal-back guarantee,
-  // so draining a group can never deadlock even with every pool thread
-  // busy. Not thread-safe: one owner thread posts and drains.
-  class JobGroup {
-   public:
-    explicit JobGroup(WorkerPool& pool = WorkerPool::instance())
-        : pool_(pool) {}
-    ~JobGroup() { finish_all(); }
-
-    JobGroup(const JobGroup&) = delete;
-    JobGroup& operator=(const JobGroup&) = delete;
-
-    void post(std::function<void()> fn) {
-      tickets_.push_back(pool_.post(std::move(fn)));
-    }
-    // Waits for (or steals back and runs) the oldest outstanding job;
-    // false when none are outstanding.
-    bool finish_next() {
-      if (tickets_.empty()) {
-        return false;
-      }
-      AsyncTicket ticket = std::move(tickets_.front());
-      tickets_.pop_front();
-      pool_.finish(ticket);
-      return true;
-    }
-    void finish_all() {
-      while (finish_next()) {
-      }
-    }
-    std::size_t in_flight() const noexcept { return tickets_.size(); }
-
-   private:
-    WorkerPool& pool_;
-    std::deque<AsyncTicket> tickets_;
-  };
-
   // Grows the pool to at least `threads` pool threads. post() alone only
-  // guarantees one pool thread, so every fan-out sizes the pool from its
-  // own width: ParallelRunner::map reserves its plan's workers - 1
-  // helpers on every call, and a budgeted bus job reserves its shard
+  // guarantees one pool thread, so run_shard_units grows the pool to its
   // budget each time it reads it. Never shrinks; safe to call
   // concurrently.
   void reserve(std::size_t threads);
@@ -205,74 +174,21 @@ std::size_t shard_size(std::size_t total, std::size_t shards,
 std::size_t shard_begin(std::size_t total, std::size_t shards,
                         std::size_t s) noexcept;
 
-class ParallelRunner {
- public:
-  explicit ParallelRunner(ShardPlan plan) noexcept : plan_(plan) {}
-
-  std::size_t shards() const noexcept { return plan_.resolved_shards(); }
-  std::size_t workers() const noexcept { return plan_.resolved_workers(); }
-
-  // Invokes fn(shard_index) once per shard across the persistent
-  // WorkerPool and returns the results ordered by shard index, so
-  // downstream merges are deterministic regardless of which worker
-  // finished first. If shard jobs throw, the exception of the
-  // lowest-indexed failing shard is rethrown once every helper has
-  // finished.
-  template <typename Fn>
-  auto map(Fn&& fn) {
-    using Partial = std::invoke_result_t<Fn&, std::size_t>;
-    const std::size_t n = shards();
-    std::vector<std::optional<Partial>> slots(n);
-    std::vector<std::exception_ptr> errors(n);
-    std::atomic<std::size_t> next{0};
-    // Claims shard indices until none are left; the caller and every
-    // helper run this same loop.
-    const auto drain = [&] {
-      for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
-           s < n; s = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          slots[s].emplace(fn(s));
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-      }
-    };
-    // With one worker nothing is posted and every shard runs inline.
-    const std::size_t helpers = std::min(workers(), n) - 1;
-    WorkerPool& pool = WorkerPool::instance();
-    pool.reserve(helpers);
-    WorkerPool::JobGroup group(pool);
-    for (std::size_t h = 0; h < helpers; ++h) {
-      group.post(drain);
-    }
-    drain();
-    group.finish_all();
-    for (const auto& error : errors) {
-      if (error) {
-        std::rethrow_exception(error);
-      }
-    }
-    std::vector<Partial> out;
-    out.reserve(n);
-    for (auto& slot : slots) {
-      out.push_back(std::move(*slot));
-    }
-    return out;
-  }
-
-  // map() for shard jobs that mutate external per-shard state instead of
-  // returning a value (e.g. advancing persistent shard engines between
-  // checkpoint barriers).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    map([&fn](std::size_t s) {
-      fn(s);
-      return 0;
-    });
-  }
-
- private:
-  ShardPlan plan_;
-};
+// The one shard fan-out: campaigns, bus jobs and CPA analysis all run on
+// it. Runs unit(s) for every shard s in [0, shards) and merge(s) strictly
+// in ascending shard order on the calling thread — the deterministic
+// merge hook. Units start in shard order, each after a budget read: up
+// to that many run at once on pool jobs (the pool grows to the budget),
+// and at most twice that many are started but not yet merged, so alive
+// at once are the merge target and at most two budgets of shard parts.
+// A pool job that finishes a unit claims the next one itself, so no
+// thread waits on a slower earlier unit or on a merge. A budget of 1, or
+// a single shard, runs every unit inline on the calling thread and
+// touches no pool state. If units threw, the exception of the
+// lowest-indexed failing shard is rethrown after every unit finished; a
+// failed shard is never merged. Units may themselves fan out.
+void run_shard_units(std::size_t shards, const ShardBudget& budget,
+                     const std::function<void(std::size_t)>& unit,
+                     const std::function<void(std::size_t)>& merge);
 
 }  // namespace psc::core

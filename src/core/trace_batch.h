@@ -107,7 +107,7 @@ class TraceBatch {
 // Thread-safe pool of reusable batches. Shard jobs acquire a batch at
 // start and return it when done, so a run with more shards than workers
 // recycles the same few slabs instead of allocating per shard — this is
-// how batches travel between shard jobs under core::ParallelRunner.
+// how batches travel between shard units under core::run_shard_units.
 class TraceBatchPool {
  public:
   // Batches handed out are shaped for `channels` columns with at least

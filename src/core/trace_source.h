@@ -13,8 +13,8 @@
 // A fourth source lives in the store layer: store::FileTraceSource
 // (store/file_trace_source.h) replays a chunked binary PSTR trace store
 // out-of-core — datasets larger than RAM stream through collect_batch
-// one chunk at a time, optionally sharded so ParallelRunner workers each
-// own a disjoint chunk range of the same file.
+// one chunk at a time, optionally sharded so shard units each own a
+// disjoint chunk range of the same file.
 //
 // The native currency is the columnar core::TraceBatch, filled through a
 // stage-then-collect protocol: the caller sizes the batch and writes the

@@ -79,7 +79,7 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   std::unique_ptr<store::TraceFileWriter> writer;
   std::optional<store::RecordingSink> recording;
   if (!config.record_path.empty()) {
-    if (config.shards != 1 || config.workers > 1) {
+    if (config.shards != 1 || config.workers.read() > 1) {
       throw std::invalid_argument(
           "run_scenario: recording requires shards == 1 and workers == 1");
     }

@@ -22,7 +22,8 @@ struct ScenarioRunConfig {
   // GE checkpoints over the CPA stream (ignored for TVLA-only scenarios).
   std::vector<std::size_t> checkpoints;
   std::uint64_t seed = 1;
-  std::size_t workers = 1;
+  // Shard-unit budget (core/parallel.h); execution only.
+  core::ShardBudget workers = 1;
   std::size_t shards = 0;
   core::CampaignProgressFn progress{};
   // Tee the acquisition to a PSTR trace store (store::RecordingSink).

@@ -6,7 +6,7 @@
 // collect_batch() overwrites the staged plaintext column with the
 // recorded plaintexts.
 //
-// Sharded replay: core::ParallelRunner workers each own a disjoint,
+// Sharded replay: shard units (core::run_shard_units) each own a disjoint,
 // chunk-aligned row range of the same file — shard_row_range() partitions
 // the chunk list with core::shard_size so ranges cover the file exactly
 // and no two shards decode the same chunk. Each shard constructs its own

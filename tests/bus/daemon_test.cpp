@@ -20,10 +20,12 @@
 #include "bus/client.h"
 #include "bus/daemon.h"
 #include "bus/jobs.h"
+#include "bus/scenario_jobs.h"
 #include "store/pstr_format.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
 #include "util/rng.h"
+#include "scenario_identity.h"
 
 namespace psc::bus {
 namespace {
@@ -229,10 +231,10 @@ TEST_F(BusDaemonTest, ConcurrentClientsGetBitIdenticalResults) {
   EXPECT_EQ(tvla_served.traces_per_set, rows / 6);
 }
 
-// The fair-scheduler acceptance test: one large multi-shard job plus
-// four small ones land concurrently; the scheduler interleaves their
-// shard units over the shared pool and every served result still equals
-// its in-process rerun bit-for-bit.
+// The fair-scheduler acceptance test: one large multi-shard job, four
+// small ones and a multi-shard scenario job land concurrently; the
+// scheduler interleaves their shard units over the shared pool and every
+// served result still equals its in-process rerun bit-for-bit.
 TEST_F(BusDaemonTest, FairSchedulerInterleavesConcurrentJobsBitIdentically) {
   serve("fair", /*quota=*/8);
 
@@ -250,9 +252,19 @@ TEST_F(BusDaemonTest, FairSchedulerInterleavesConcurrentJobsBitIdentically) {
   TvlaJobSpec small_tvla;
   small_tvla.shards = 3;
 
+  // A multi-shard scenario job rides the same fair budget: its STATS row
+  // reports its resolved shard count and the cap it was granted.
+  ScenarioJobSpec scenario;
+  scenario.scenario = "aes-power-user";
+  scenario.traces_per_set = 300;
+  scenario.seed = 4;
+  scenario.shards = 4;
+
   CpaJobResult large_served;
   std::vector<CpaJobResult> small_cpa_served(n_small);
   std::vector<TvlaJobResult> small_tvla_served(n_small);
+  ScenarioJobResult scenario_served;
+  std::uint64_t scenario_id = 0;
 
   std::thread large_client([&] {
     BusClient client(daemon_->socket_path());
@@ -273,10 +285,28 @@ TEST_F(BusDaemonTest, FairSchedulerInterleavesConcurrentJobsBitIdentically) {
       small_tvla_served[i] = client.tvla_result(tvla_id);
     });
   }
+  std::thread scenario_client([&] {
+    BusClient client(daemon_->socket_path());
+    scenario_id = client.submit_scenario(scenario);
+    const JobStatusMsg status = client.watch(scenario_id);
+    ASSERT_EQ(status.state, JobState::done) << status.error;
+    scenario_served = client.scenario_result(scenario_id);
+  });
   large_client.join();
   for (std::thread& t : small_clients) {
     t.join();
   }
+  scenario_client.join();
+
+  // The job row the STATS frame lists while the job runs: the daemon
+  // called both the fair budget and the activity hook for it.
+  const std::shared_ptr<Job> scenario_row = daemon_->jobs().find(scenario_id);
+  ASSERT_NE(scenario_row, nullptr);
+  EXPECT_EQ(scenario_row->shards, scenario.shards);
+  EXPECT_GE(scenario_row->shard_cap, 1u);
+  EXPECT_GE(scenario_row->peak_shards, 1u);
+  expect_scenario_bit_identical(scenario_served,
+                                run_scenario_job(scenario, {}, 1));
 
   const auto mapping = store::SharedMapping::open(dataset_path_);
   expect_cpa_bit_identical(large_served, run_cpa_job(mapping, large));

@@ -8,7 +8,9 @@
 // the daemon.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "bus/daemon.h"
 #include "bus/scenario_jobs.h"
 #include "scenario/registry.h"
+#include "scenario_identity.h"
 
 namespace psc::bus {
 namespace {
@@ -32,69 +35,6 @@ Msg reencode(const Msg& msg) {
   Msg out = Msg::decode(r);
   r.expect_end();
   return out;
-}
-
-void expect_bits_equal(double a, double b, const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-      << what;
-}
-
-void expect_scenario_bit_identical(const ScenarioJobResult& a,
-                                   const ScenarioJobResult& b) {
-  EXPECT_EQ(a.scenario, b.scenario);
-  EXPECT_EQ(a.secret, b.secret);
-  EXPECT_EQ(a.traces_per_set, b.traces_per_set);
-  EXPECT_EQ(a.cpa_trace_count, b.cpa_trace_count);
-  EXPECT_EQ(a.channels, b.channels);
-  EXPECT_EQ(a.leakage_channels, b.leakage_channels);
-  ASSERT_EQ(a.tvla.size(), b.tvla.size());
-  for (std::size_t c = 0; c < a.tvla.size(); ++c) {
-    EXPECT_EQ(a.tvla[c].channel, b.tvla[c].channel);
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        expect_bits_equal(a.tvla[c].matrix.t[i][j], b.tvla[c].matrix.t[i][j],
-                          "tvla " + a.tvla[c].channel);
-      }
-    }
-  }
-  ASSERT_EQ(a.cpa.size(), b.cpa.size());
-  for (std::size_t k = 0; k < a.cpa.size(); ++k) {
-    const core::CpaKeyResult& x = a.cpa[k];
-    const core::CpaKeyResult& y = b.cpa[k];
-    EXPECT_EQ(x.key, y.key);
-    ASSERT_EQ(x.final_results.size(), y.final_results.size());
-    for (std::size_t m = 0; m < x.final_results.size(); ++m) {
-      const core::ModelResult& u = x.final_results[m];
-      const core::ModelResult& v = y.final_results[m];
-      EXPECT_EQ(u.model, v.model);
-      EXPECT_EQ(u.true_ranks, v.true_ranks);
-      EXPECT_EQ(u.best_round_key, v.best_round_key);
-      EXPECT_EQ(u.recovered_bytes, v.recovered_bytes);
-      expect_bits_equal(u.ge_bits, v.ge_bits, "ge_bits");
-      expect_bits_equal(u.mean_rank, v.mean_rank, "mean_rank");
-      for (std::size_t i = 0; i < 16; ++i) {
-        for (std::size_t g = 0; g < 256; ++g) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(u.bytes[i].correlation[g]),
-                    std::bit_cast<std::uint64_t>(v.bytes[i].correlation[g]))
-              << "key " << x.key.str() << " model " << m << " byte " << i
-              << " guess " << g;
-        }
-      }
-    }
-    ASSERT_EQ(x.curves.size(), y.curves.size());
-    for (std::size_t m = 0; m < x.curves.size(); ++m) {
-      ASSERT_EQ(x.curves[m].size(), y.curves[m].size());
-      for (std::size_t p = 0; p < x.curves[m].size(); ++p) {
-        EXPECT_EQ(x.curves[m][p].traces, y.curves[m][p].traces);
-        EXPECT_EQ(x.curves[m][p].recovered_bytes,
-                  y.curves[m][p].recovered_bytes);
-        expect_bits_equal(x.curves[m][p].ge_bits, y.curves[m][p].ge_bits,
-                          "curve ge_bits");
-        expect_bits_equal(x.curves[m][p].mean_rank, y.curves[m][p].mean_rank,
-                          "curve mean_rank");
-      }
-    }
-  }
 }
 
 class ScenarioBusTest : public ::testing::Test {
@@ -192,6 +132,52 @@ TEST(ScenarioProtocol, ResolvedShardsArePureAndBounded) {
     EXPECT_EQ(resolved_scenario_shards(spec, per_set),
               resolved_scenario_shards(spec, per_set));
   }
+}
+
+// A scenario job runs its shard units under the budget the daemon gives
+// every job kind (shard_unit_budget): a live budget read before each
+// unit is issued, a window that never runs more units than it allows,
+// shard activity reported through on_shard_activity — and a result that
+// matches the sequential run bit for bit.
+TEST(ScenarioJobs, LiveBudgetRunsUnitsInItsWindowBitIdentically) {
+  ScenarioJobSpec spec;
+  spec.scenario = "aes-power-user";
+  spec.traces_per_set = 240;
+  spec.seed = 21;
+  spec.shards = 6;
+  constexpr std::size_t window = 2;
+
+  std::atomic<std::size_t> reads{0};
+  JobExecOptions exec;
+  exec.shard_budget = [&reads] {
+    reads.fetch_add(1);
+    return window;
+  };
+  std::mutex mu;
+  std::size_t reported_shards = 0;
+  std::size_t reports = 0;
+  std::size_t peak = 0;
+  std::size_t reads_at_first_start = 0;
+  exec.on_shard_activity = [&](std::size_t shards, std::size_t running) {
+    std::lock_guard<std::mutex> lock(mu);
+    reported_shards = shards;
+    ++reports;
+    if (running > 0 && peak == 0) {
+      reads_at_first_start = reads.load();
+    }
+    peak = std::max(peak, running);
+  };
+  const ScenarioJobResult pooled =
+      run_scenario_job(spec, {}, shard_unit_budget(exec));
+
+  EXPECT_GE(reads.load(), spec.shards);
+  EXPECT_GE(reads_at_first_start, 1u);
+  EXPECT_EQ(reported_shards, spec.shards);
+  EXPECT_EQ(reports, 1 + 2 * spec.shards);  // resolve, start + finish each
+  EXPECT_GE(peak, 1u);
+  EXPECT_LE(peak, window);
+  ASSERT_FALSE(pooled.cpa.empty());
+  expect_scenario_bit_identical(pooled, run_scenario_job(spec));
 }
 
 // -------------------------------------------------------------- daemon

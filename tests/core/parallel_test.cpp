@@ -8,8 +8,12 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "core/campaigns.h"
 #include "core/guessing_entropy.h"
@@ -89,45 +93,71 @@ TEST(ShardPartition, BeginClampsPastTheEnd) {
   }
 }
 
-TEST(ShardPlan, Resolution) {
-  EXPECT_EQ(ShardPlan{}.resolved_workers(), 1u);
-  EXPECT_EQ(ShardPlan{}.resolved_shards(), 1u);
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards(), 4u);
-  EXPECT_EQ((ShardPlan{.workers = 4, .shards = 9}).resolved_shards(), 9u);
-  EXPECT_EQ((ShardPlan{.workers = 0, .shards = 0}).resolved_shards(), 1u);
+TEST(ShardBudget, Resolution) {
+  EXPECT_EQ(ShardBudget{}.read(), 1u);
+  EXPECT_EQ(ShardBudget(0).read(), 1u);
+  EXPECT_EQ(ShardBudget(4).read(), 4u);
+  EXPECT_FALSE(ShardBudget(4).live());
+  EXPECT_EQ(resolve_shards(0, {}, 1'000'000), 1u);
+  EXPECT_EQ(resolve_shards(0, 4, 1'000'000), 4u);
+  EXPECT_EQ(resolve_shards(9, 4, 1'000'000), 9u);
+  EXPECT_EQ(resolve_shards(0, 0, 1'000'000), 1u);
 }
 
-TEST(ShardPlan, AutoShardsSizeToWorkload) {
+// A live budget is read afresh on every read() (values below 1 read as
+// 1). It has no fixed width, so it cannot size a shard count: an
+// explicit count passes through, shards == 0 is rejected.
+TEST(ShardBudget, LiveBudgetNeedsAnExplicitShardCount) {
+  std::size_t next = 0;
+  const ShardBudget live = [&next] { return next++; };
+  EXPECT_TRUE(live.live());
+  EXPECT_EQ(live.read(), 1u);  // read 0
+  EXPECT_EQ(live.read(), 1u);
+  EXPECT_EQ(live.read(), 2u);
+  EXPECT_EQ(resolve_shards(5, live, 1'000'000), 5u);
+  EXPECT_THROW(resolve_shards(0, live, 1'000'000), std::invalid_argument);
+}
+
+TEST(ShardBudget, AutoShardsSizeToWorkload) {
   // An explicit shard count always wins — shards determine the result.
-  EXPECT_EQ((ShardPlan{.workers = 4, .shards = 9}).resolved_shards_for(10),
-            9u);
+  EXPECT_EQ(resolve_shards(9, 4, 10), 9u);
   // Large workloads: one shard per worker.
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards_for(
-                4 * min_traces_per_shard),
-            4u);
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards_for(1'000'000), 4u);
+  EXPECT_EQ(resolve_shards(0, 4, 4 * min_traces_per_shard), 4u);
+  EXPECT_EQ(resolve_shards(0, 4, 1'000'000), 4u);
   // Small workloads: capped so every shard job still amortizes its
   // lease/merge overhead; never below one shard.
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards_for(
-                2 * min_traces_per_shard),
-            2u);
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards_for(100), 1u);
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards_for(0), 1u);
-  EXPECT_EQ((ShardPlan{.workers = 1}).resolved_shards_for(1'000'000), 1u);
+  EXPECT_EQ(resolve_shards(0, 4, 2 * min_traces_per_shard), 2u);
+  EXPECT_EQ(resolve_shards(0, 4, 100), 1u);
+  EXPECT_EQ(resolve_shards(0, 4, 0), 1u);
+  EXPECT_EQ(resolve_shards(0, 1, 1'000'000), 1u);
 }
 
-TEST(ParallelRunner, MapReturnsResultsInShardOrder) {
-  ParallelRunner runner({.workers = 4, .shards = 13});
-  const auto out = runner.map([](std::size_t s) { return 3 * s + 1; });
+// Runs fn(s) for every shard under `budget` and returns the results
+// gathered by the merge hook, which must see the shards in order.
+template <typename Fn>
+auto gather(std::size_t shards, const ShardBudget& budget, Fn fn) {
+  using Result = std::invoke_result_t<Fn&, std::size_t>;
+  std::vector<std::optional<Result>> slots(shards);
+  std::vector<Result> out;
+  run_shard_units(
+      shards, budget, [&](std::size_t s) { slots[s].emplace(fn(s)); },
+      [&](std::size_t s) {
+        EXPECT_EQ(s, out.size()) << "merged out of shard order";
+        out.push_back(std::move(*slots[s]));
+        slots[s].reset();
+      });
+  return out;
+}
+
+TEST(ShardUnits, MergesResultsInShardOrder) {
+  const auto out = gather(13, 4, [](std::size_t s) { return 3 * s + 1; });
   ASSERT_EQ(out.size(), 13u);
   for (std::size_t s = 0; s < out.size(); ++s) {
     EXPECT_EQ(out[s], 3 * s + 1);
   }
 }
 
-TEST(ParallelRunner, SequentialAndParallelMapAgree) {
-  ParallelRunner sequential({.workers = 1, .shards = 8});
-  ParallelRunner parallel({.workers = 8, .shards = 8});
+TEST(ShardUnits, SequentialAndParallelAgree) {
   auto job = [](std::size_t s) {
     // Deterministic per-shard computation with its own split stream.
     util::Xoshiro256 rng = util::Xoshiro256(77).split(s);
@@ -137,48 +167,56 @@ TEST(ParallelRunner, SequentialAndParallelMapAgree) {
     }
     return acc;
   };
-  const auto a = sequential.map(job);
-  const auto b = parallel.map(job);
+  const auto a = gather(8, 1, job);
+  const auto b = gather(8, 8, job);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t s = 0; s < a.size(); ++s) {
     EXPECT_DOUBLE_EQ(a[s], b[s]);
   }
 }
 
-TEST(ParallelRunner, PropagatesLowestShardException) {
-  ParallelRunner runner({.workers = 4, .shards = 8});
+// Failed shards are never merged; the lowest-indexed failure is rethrown
+// once every unit finished.
+TEST(ShardUnits, PropagatesLowestShardException) {
+  std::vector<std::size_t> merged;
   try {
-    runner.for_each([](std::size_t s) {
-      if (s == 3 || s == 6) {
-        throw std::runtime_error("shard " + std::to_string(s));
-      }
-    });
+    run_shard_units(
+        8, 4,
+        [](std::size_t s) {
+          if (s == 3 || s == 6) {
+            throw std::runtime_error("shard " + std::to_string(s));
+          }
+        },
+        [&](std::size_t s) { merged.push_back(s); });
     FAIL() << "expected exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "shard 3");
   }
+  EXPECT_EQ(merged, (std::vector<std::size_t>{0, 1, 2, 4, 5, 7}));
 }
 
-// Two campaigns mapping from different threads share the pool's job
-// queue instead of queueing behind each other: every shard of each map
-// waits (bounded) until a shard of the other map has started, which can
-// only happen when both maps are in flight at once.
-TEST(ParallelRunner, ConcurrentMapsRunSideBySide) {
+// Two campaigns fanning out from different threads share the pool's job
+// queue instead of queueing behind each other: every shard of each
+// fan-out waits (bounded) until a shard of the other has started, which
+// can only happen when both fan-outs are in flight at once.
+TEST(ShardUnits, ConcurrentFanOutsRunSideBySide) {
   std::mutex mu;
   std::condition_variable cv;
   std::array<int, 2> started{};
   int timeouts = 0;
   const auto campaign = [&](int self) {
-    ParallelRunner runner({.workers = 2, .shards = 2});
-    runner.for_each([&](std::size_t) {
-      std::unique_lock<std::mutex> lock(mu);
-      ++started[self];
-      cv.notify_all();
-      if (!cv.wait_for(lock, std::chrono::seconds(2),
-                       [&] { return started[1 - self] > 0; })) {
-        ++timeouts;
-      }
-    });
+    run_shard_units(
+        2, 2,
+        [&](std::size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          ++started[self];
+          cv.notify_all();
+          if (!cv.wait_for(lock, std::chrono::seconds(2),
+                           [&] { return started[1 - self] > 0; })) {
+            ++timeouts;
+          }
+        },
+        [](std::size_t) {});
   };
   std::thread a(campaign, 0);
   std::thread b(campaign, 1);
@@ -189,50 +227,161 @@ TEST(ParallelRunner, ConcurrentMapsRunSideBySide) {
   EXPECT_EQ(started[1], 2);
 }
 
-// Every shard runs exactly once per map, across many back-to-back maps
-// (the reuse path a campaign sweep exercises).
-TEST(ParallelRunner, EachShardRunsExactlyOncePerMap) {
+// Every shard runs exactly once per fan-out, across many back-to-back
+// fan-outs (the reuse path a campaign sweep exercises).
+TEST(ShardUnits, EachShardRunsExactlyOncePerFanOut) {
   for (int round = 0; round < 20; ++round) {
     constexpr std::size_t jobs = 16;
     std::array<std::atomic<int>, jobs> hits{};
-    ParallelRunner({.workers = 4, .shards = jobs}).for_each([&](std::size_t s) {
-      hits[s].fetch_add(1, std::memory_order_relaxed);
-    });
+    run_shard_units(
+        jobs, 4,
+        [&](std::size_t s) { hits[s].fetch_add(1, std::memory_order_relaxed); },
+        [](std::size_t) {});
     for (std::size_t s = 0; s < jobs; ++s) {
       ASSERT_EQ(hits[s].load(), 1) << "round " << round << " job " << s;
     }
   }
 }
 
-// A map() from inside a shard job — which may itself run on a pool
-// thread — completes every inner shard without disturbing the outer map.
-TEST(ParallelRunner, NestedMapRunsEveryShardOnce) {
+// A fan-out from inside a shard unit — which may itself run on a pool
+// thread — completes every inner shard without disturbing the outer one.
+TEST(ShardUnits, NestedFanOutRunsEveryShardOnce) {
   std::array<std::atomic<int>, 4> outer_hits{};
   std::atomic<int> inner_total{0};
-  ParallelRunner({.workers = 4, .shards = 4}).for_each([&](std::size_t s) {
-    outer_hits[s].fetch_add(1, std::memory_order_relaxed);
-    ParallelRunner({.workers = 4, .shards = 3}).for_each([&](std::size_t) {
-      inner_total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
+  run_shard_units(
+      4, 4,
+      [&](std::size_t s) {
+        outer_hits[s].fetch_add(1, std::memory_order_relaxed);
+        run_shard_units(
+            3, 4,
+            [&](std::size_t) {
+              inner_total.fetch_add(1, std::memory_order_relaxed);
+            },
+            [](std::size_t) {});
+      },
+      [](std::size_t) {});
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(outer_hits[s].load(), 1);
   }
   EXPECT_EQ(inner_total.load(), 12);
 }
 
+// A budget of 1 runs every unit inline on the calling thread, one at a
+// time, each merged before the next starts.
+TEST(ShardUnits, BudgetOfOneRunsInlineOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> events;
+  run_shard_units(
+      3, 1,
+      [&](std::size_t s) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        events.push_back("run " + std::to_string(s));
+      },
+      [&](std::size_t s) { events.push_back("merge " + std::to_string(s)); });
+  EXPECT_EQ(events, (std::vector<std::string>{"run 0", "merge 0", "run 1",
+                                              "merge 1", "run 2",
+                                              "merge 2"}));
+}
+
+// A live budget is read before each unit is issued, and the window never
+// holds more running units than the last read allowed; the activity
+// observer sees the shard count, every start and every finish.
+TEST(ShardUnits, LiveBudgetBoundsTheWindowAndIsReadPerUnit) {
+  constexpr std::size_t shards = 12;
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> running{0};
+  std::atomic<std::size_t> peak{0};
+  ShardBudget budget = [&reads] {
+    reads.fetch_add(1, std::memory_order_relaxed);
+    return std::size_t{3};
+  };
+  std::mutex mu;
+  std::size_t reported_shards = 0;
+  std::size_t reports = 0;
+  std::size_t last_running = 99;
+  budget.on_activity = [&](std::size_t n, std::size_t now) {
+    std::lock_guard<std::mutex> lock(mu);
+    reported_shards = n;
+    ++reports;
+    last_running = now;
+  };
+  run_shard_units(
+      shards, budget,
+      [&](std::size_t) {
+        const std::size_t now = running.fetch_add(1) + 1;
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        running.fetch_sub(1);
+      },
+      [](std::size_t) {});
+  EXPECT_GE(reads.load(), shards);
+  EXPECT_GE(peak.load(), 1u);
+  EXPECT_LE(peak.load(), 3u);
+  EXPECT_EQ(reported_shards, shards);
+  EXPECT_EQ(reports, 1 + 2 * shards);  // resolve, then start + finish each
+}
+
+// No pool thread waits on a merge: while shard 0 merges, shard 2 (beyond
+// the budget-2 window that held shards 0 and 1) starts.
+TEST(ShardUnits, WindowRefillsBeforeMerging) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool third_started = false;
+  bool seen_during_merge = false;
+  run_shard_units(
+      3, 2,
+      [&](std::size_t s) {
+        if (s == 2) {
+          std::lock_guard<std::mutex> lock(mu);
+          third_started = true;
+          cv.notify_all();
+        }
+      },
+      [&](std::size_t s) {
+        if (s == 0) {
+          std::unique_lock<std::mutex> lock(mu);
+          seen_during_merge = cv.wait_for(lock, std::chrono::seconds(2),
+                                          [&] { return third_started; });
+        }
+      });
+  EXPECT_TRUE(seen_during_merge);
+}
+
+// No thread waits on a slower earlier unit either: while shard 0 still
+// runs, the thread that finished shard 1 goes on to shard 2.
+TEST(ShardUnits, SlowUnitKeepsNoThreadIdle) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool third_started = false;
+  bool seen_while_first_ran = false;
+  run_shard_units(
+      3, 2,
+      [&](std::size_t s) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (s == 0) {
+          seen_while_first_ran = cv.wait_for(
+              lock, std::chrono::seconds(2), [&] { return third_started; });
+        } else if (s == 2) {
+          third_started = true;
+          cv.notify_all();
+        }
+      },
+      [](std::size_t) {});
+  EXPECT_TRUE(seen_while_first_ran);
+}
+
 // ---------- persistent worker pool ----------
 
-// The pool persists across runner invocations: helper threads spawned by
-// the first multi-worker map are reused, not respawned, by later maps.
-TEST(WorkerPool, ThreadsPersistAcrossRunners) {
-  ParallelRunner first({.workers = 4, .shards = 8});
-  first.for_each([](std::size_t) {});
+// The pool persists across fan-outs: threads spawned by the first
+// budget-4 fan-out are reused, not respawned, by later ones.
+TEST(WorkerPool, ThreadsPersistAcrossFanOuts) {
+  run_shard_units(8, 4, [](std::size_t) {}, [](std::size_t) {});
   const std::size_t after_first = WorkerPool::instance().thread_count();
-  EXPECT_GE(after_first, 3u);  // workers - 1 helpers; grow-only
+  EXPECT_GE(after_first, 4u);  // the budget's width; grow-only
   for (int round = 0; round < 5; ++round) {
-    ParallelRunner again({.workers = 4, .shards = 8});
-    const auto out = again.map([](std::size_t s) { return s * s; });
+    const auto out = gather(8, 4, [](std::size_t s) { return s * s; });
     for (std::size_t s = 0; s < out.size(); ++s) {
       EXPECT_EQ(out[s], s * s);
     }
@@ -348,28 +497,32 @@ TEST(WorkerPoolAsync, ManyOutstandingJobsAllComplete) {
 TEST(WorkerPoolAsync, FinishInsidePoolJobNeverDeadlocks) {
   constexpr std::size_t shards = 8;
   std::array<std::atomic<int>, shards> hits{};
-  ParallelRunner({.workers = 4, .shards = shards}).for_each([&](std::size_t s) {
-    auto ticket = WorkerPool::instance().post(
-        [&hits, s] { hits[s].fetch_add(1, std::memory_order_relaxed); });
-    WorkerPool::instance().finish(ticket);
-  });
+  run_shard_units(
+      shards, 4,
+      [&](std::size_t s) {
+        auto ticket = WorkerPool::instance().post(
+            [&hits, s] { hits[s].fetch_add(1, std::memory_order_relaxed); });
+        WorkerPool::instance().finish(ticket);
+      },
+      [](std::size_t) {});
   for (std::size_t s = 0; s < shards; ++s) {
     ASSERT_EQ(hits[s].load(), 1) << "shard " << s;
   }
 }
 
-// Async jobs posted while a map is in flight complete, and the map still
-// runs every shard exactly once.
-TEST(WorkerPoolAsync, InterleavesWithMaps) {
+// Async jobs posted while a fan-out is in flight complete, and the
+// fan-out still runs every shard exactly once.
+TEST(WorkerPoolAsync, InterleavesWithFanOuts) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> async_hits{0};
     auto ticket = WorkerPool::instance().post(
         [&] { async_hits.fetch_add(1, std::memory_order_relaxed); });
     constexpr std::size_t jobs = 8;
     std::array<std::atomic<int>, jobs> hits{};
-    ParallelRunner({.workers = 4, .shards = jobs}).for_each([&](std::size_t s) {
-      hits[s].fetch_add(1, std::memory_order_relaxed);
-    });
+    run_shard_units(
+        jobs, 4,
+        [&](std::size_t s) { hits[s].fetch_add(1, std::memory_order_relaxed); },
+        [](std::size_t) {});
     WorkerPool::instance().finish(ticket);
     EXPECT_EQ(async_hits.load(), 1) << "round " << round;
     for (std::size_t s = 0; s < jobs; ++s) {

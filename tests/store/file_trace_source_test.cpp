@@ -1,14 +1,15 @@
 // FileTraceSource replay tests — the store subsystem's acceptance
 // criterion: a CPA campaign replayed from a file recorded by
 // RecordingSink is bit-identical to the live campaign that recorded it,
-// sequentially and when ParallelRunner workers replay disjoint chunk
-// ranges of the same file.
+// sequentially and when shard units replay disjoint chunk ranges of the
+// same file.
 #include "store/file_trace_source.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,9 +98,10 @@ TEST(FileTraceSource, ReplayedCpaCampaignBitIdenticalToLiveRecording) {
   }
 }
 
-// Sharded out-of-core replay: ParallelRunner workers each replay a
-// disjoint chunk-aligned row range of one file; merging shard engines in
-// shard order equals sequential replay (same contract as live shards).
+// Sharded out-of-core replay: shard units (core::run_shard_units) each
+// replay a disjoint chunk-aligned row range of one file; merging shard
+// engines in shard order equals sequential replay (same contract as live
+// shards).
 TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
   const std::string path = temp_path("sharded_replay.pstr");
   const std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
@@ -150,21 +152,29 @@ TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
     EXPECT_EQ(next, probe.trace_count());
   }
 
-  // Parallel replay: each worker owns its own reader over its range.
-  core::ParallelRunner runner({.workers = 4, .shards = shards});
-  auto engines = runner.map([&](std::size_t s) {
-    auto reader = std::make_unique<TraceFileReader>(path);
-    const auto [begin, count] = shard_row_range(*reader, shards, s);
-    FileTraceSource replay(std::move(reader), begin, count);
-    util::Xoshiro256 unused_rng(0);
-    return core::accumulate_cpa(replay, synth.keys()[0], models, 0,
-                                unused_rng);
-  });
-
-  core::CpaEngine merged = std::move(engines[0]);
-  for (std::size_t s = 1; s < engines.size(); ++s) {
-    merged.merge(engines[s]);
-  }
+  // Parallel replay: each shard unit owns its own reader over its range,
+  // and drained units merge in shard order.
+  std::vector<std::optional<core::CpaEngine>> parts(shards);
+  std::optional<core::CpaEngine> merged_part;
+  core::run_shard_units(
+      shards, 4,
+      [&](std::size_t s) {
+        auto reader = std::make_unique<TraceFileReader>(path);
+        const auto [begin, count] = shard_row_range(*reader, shards, s);
+        FileTraceSource replay(std::move(reader), begin, count);
+        util::Xoshiro256 unused_rng(0);
+        parts[s] = core::accumulate_cpa(replay, synth.keys()[0], models, 0,
+                                        unused_rng);
+      },
+      [&](std::size_t s) {
+        if (s == 0) {
+          merged_part = std::move(parts[s]);
+        } else {
+          merged_part->merge(*parts[s]);
+        }
+        parts[s].reset();
+      });
+  const core::CpaEngine& merged = *merged_part;
   EXPECT_EQ(merged.trace_count(), sequential.trace_count());
 
   const core::ModelResult a = merged.analyze(models[0], round_keys);
