@@ -75,9 +75,8 @@ int main(int argc, char** argv) {
   // the store back through the same analysis path, out-of-core.
   store::FileTraceSource replay(path);
   std::cout << "replaying " << *replay.remaining() << " traces ("
-            << (replay.reader().mapped() ? "mmap" : "stream") << " reader, "
-            << (replay.prefetch_enabled() ? "prefetch on" : "prefetch off")
-            << ")\n\n";
+            << (replay.reader().mapped() ? "mmap" : "stream")
+            << " reader, prefetched)\n\n";
   util::Xoshiro256 unused_rng(0);  // replay returns its recorded plaintexts
   const core::CpaEngine engine = core::accumulate_cpa(
       replay, util::FourCc("PHPC"), models, /*count=*/0, unused_rng);

@@ -40,19 +40,23 @@ void ChunkPrefetcher::issue(Slot& slot, std::size_t chunk) {
 
 std::optional<ChunkView> ChunkPrefetcher::next_chunk() {
   Slot& slot = slots_[cur_];
-  if (!slot.pending) {
+  if (slot.pending) {
+    if (pool_->finish(slot.ticket)) {
+      ++async_completions_;
+    }
+    slot.pending = false;
+    // The reader is idle between the finish() above and this post, which
+    // is the only window where issuing a new job is safe. A failed chunk
+    // ends the range: nothing after it is decoded.
+    if (slot.error == nullptr && next_issue_ < end_) {
+      issue(slots_[cur_ ^ 1], next_issue_++);
+    }
+  } else if (slot.error == nullptr) {
     return std::nullopt;
   }
-  if (pool_->finish(slot.ticket)) {
-    ++async_completions_;
-  }
-  slot.pending = false;
-  // The reader is idle between the finish() above and this post, which
-  // is the only window where issuing a new job is safe.
-  if (next_issue_ < end_) {
-    issue(slots_[cur_ ^ 1], next_issue_++);
-  }
   if (slot.error != nullptr) {
+    // The slot keeps its error, so every later call rethrows it instead
+    // of reporting the range exhausted.
     std::rethrow_exception(slot.error);
   }
   cur_ ^= 1;

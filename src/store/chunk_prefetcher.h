@@ -18,8 +18,8 @@
 //
 // Decode errors (CRC mismatch, corrupt codec block) are captured on the
 // decode thread and rethrown from the next_chunk() call that would have
-// returned that chunk, so StoreError surfaces on the replaying thread
-// exactly as it does without prefetch.
+// returned that chunk, and from every call after it, so StoreError
+// surfaces on the replaying thread however often the caller retries.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,7 @@ class ChunkPrefetcher {
   // The next chunk's decoded view, or nullopt when the range is
   // exhausted. The view stays valid until the next-next next_chunk()
   // call (its slot is only reused then); throws StoreError if the chunk
-  // is corrupt.
+  // is corrupt, and again on every later call.
   std::optional<ChunkView> next_chunk();
 
   // Chunks whose decode actually completed on a pool thread (vs stolen

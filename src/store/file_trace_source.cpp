@@ -1,56 +1,23 @@
 #include "store/file_trace_source.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "core/parallel.h"
-#include "util/env.h"
 
 namespace psc::store {
 
-namespace {
-
-bool resolve_prefetch(PrefetchMode mode) {
-  switch (mode) {
-    case PrefetchMode::on:
-      return true;
-    case PrefetchMode::off:
-      return false;
-    case PrefetchMode::automatic:
-      break;
-  }
-  return util::env_flag("PSC_STORE_PREFETCH", true);
-}
-
-}  // namespace
-
 FileTraceSource::FileTraceSource(const std::string& path, ReaderMode mode)
-    : FileTraceSource(path, FileSourceOptions{.mode = mode}) {}
-
-FileTraceSource::FileTraceSource(const std::string& path,
-                                 const FileSourceOptions& options)
-    : FileTraceSource(std::make_unique<TraceFileReader>(path, options.mode),
-                      0, std::numeric_limits<std::size_t>::max(), options) {}
+    : FileTraceSource(std::make_unique<TraceFileReader>(path, mode)) {}
 
 FileTraceSource::FileTraceSource(const std::string& path, std::size_t begin,
                                  std::size_t count, ReaderMode mode)
-    : FileTraceSource(path, begin, count, FileSourceOptions{.mode = mode}) {}
-
-FileTraceSource::FileTraceSource(const std::string& path, std::size_t begin,
-                                 std::size_t count,
-                                 const FileSourceOptions& options)
-    : FileTraceSource(std::make_unique<TraceFileReader>(path, options.mode),
-                      begin, count, options) {}
-
-FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader)
-    : FileTraceSource(std::move(reader), 0,
-                      std::numeric_limits<std::size_t>::max()) {}
+    : FileTraceSource(std::make_unique<TraceFileReader>(path, mode), begin,
+                      count) {}
 
 FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader,
-                                 std::size_t begin, std::size_t count,
-                                 const FileSourceOptions& options)
-    : reader_(std::move(reader)), prefetch_(resolve_prefetch(options.prefetch)) {
+                                 std::size_t begin, std::size_t count)
+    : reader_(std::move(reader)) {
   if (!reader_) {
     throw std::invalid_argument("FileTraceSource: null reader");
   }
@@ -89,13 +56,9 @@ core::TraceRecord FileTraceSource::collect(const aes::Block& /*plaintext*/) {
     throw std::out_of_range("FileTraceSource: file exhausted");
   }
   row_scratch_.clear();
-  if (prefetch_) {
-    const ChunkView& view = current_view(pos_);
-    view.append_to(row_scratch_, pos_ - view.row_begin(), 1);
-    ++pos_;
-  } else {
-    reader_->read_rows(pos_++, 1, row_scratch_);
-  }
+  const ChunkView& view = current_view(pos_);
+  view.append_to(row_scratch_, pos_ - view.row_begin(), 1);
+  ++pos_;
   core::TraceRecord record;
   record.plaintext = row_scratch_.plaintexts()[0];
   record.ciphertext = row_scratch_.ciphertexts()[0];
@@ -116,11 +79,6 @@ void FileTraceSource::collect_batch(core::TraceBatch& batch) {
     throw std::out_of_range("FileTraceSource: file exhausted");
   }
   batch.clear();
-  if (!prefetch_) {
-    reader_->read_rows(pos_, n, batch);
-    pos_ += n;
-    return;
-  }
   std::size_t row = pos_;
   std::size_t left = n;
   while (left > 0) {

@@ -1,18 +1,20 @@
 // Refcounted read-only bytes of one PSTR file, shared across readers.
 //
-// A TraceFileReader normally owns a private mmap of its file; N readers
-// over the same dataset each pay their own open/map and page-table setup.
-// The bus daemon serves many concurrent jobs over one dataset, so it
-// opens the file once as a SharedMapping and builds each job's (and each
-// shard's) reader over the same bytes: one mapping, one page-cache
-// working set, any number of single-threaded readers on top. The handle
-// is handed around as shared_ptr<const SharedMapping>; the bytes unmap
-// when the last reader and the registry drop it.
+// SharedMapping is the one owner of mapped file bytes in the store:
+// every mapped TraceFileReader reads through one. A reader opened by
+// path maps its own (map()); the bus daemon serves many concurrent jobs
+// over one dataset, so it opens the file once (open()) and builds each
+// job's (and each shard's) reader over the same bytes: one mapping, one
+// page-cache working set, any number of single-threaded readers on top.
+// The handle is handed around as shared_ptr<const SharedMapping>; the
+// bytes unmap when the last reader and the registry drop it.
 //
-// On platforms without mmap (or under PSC_NO_MMAP) the whole file is
-// loaded into one heap buffer instead — still a single shared copy, so
-// the sharing contract survives the fallback; out-of-core streaming is
-// lost, which matches what a no-mmap platform could do anyway.
+// On platforms without mmap (or under PSC_NO_MMAP) open() loads the whole
+// file into one heap buffer instead — still a single shared copy, so the
+// sharing contract survives the fallback; out-of-core streaming is lost,
+// which matches what a no-mmap platform could do anyway. map() never
+// heap-loads: it returns null there, and a path-opened reader falls back
+// to streaming one chunk at a time.
 //
 // The bytes are immutable after open(), so concurrent readers need no
 // locking on the mapping itself.
@@ -31,6 +33,10 @@ class SharedMapping {
   // Opens `path` and maps (or loads) its current contents. Throws
   // StoreError when the file cannot be opened, mapped or read.
   static std::shared_ptr<const SharedMapping> open(const std::string& path);
+  // Maps `path` read-only, or returns null where open() would heap-load
+  // it: no mmap on this platform, PSC_NO_MMAP set, an empty or
+  // unopenable file, or a failed mmap.
+  static std::shared_ptr<const SharedMapping> map(const std::string& path);
 
   ~SharedMapping();
 
@@ -50,7 +56,7 @@ class SharedMapping {
   std::uint64_t id() const noexcept { return id_; }
 
  private:
-  SharedMapping() = default;
+  explicit SharedMapping(const std::string& path);
 
   std::string path_;
   std::uint64_t id_ = 0;

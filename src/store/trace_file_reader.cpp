@@ -7,16 +7,6 @@
 #include "store/chunk_cache.h"
 #include "util/codec.h"
 #include "util/crc32.h"
-#include "util/env.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PSC_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-#else
-#define PSC_STORE_HAS_MMAP 0
-#endif
 
 namespace psc::store {
 
@@ -55,67 +45,35 @@ void TraceFileReader::fail(const std::string& what) const {
 
 TraceFileReader::TraceFileReader(const std::string& path, ReaderMode mode)
     : path_(path) {
-  // PSC_NO_MMAP forces the buffered-read fallback everywhere automatic
-  // mode would map — the knob CI uses to run the whole suite down the
-  // stream path (an explicit ReaderMode::mmap request still maps).
-  if (mode == ReaderMode::automatic && util::env_flag("PSC_NO_MMAP")) {
-    mode = ReaderMode::stream;
+  if (mode == ReaderMode::automatic) {
+    mapping_ = SharedMapping::map(path_);
   }
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    fail("cannot open file");
-  }
-  in_.seekg(0, std::ios::end);
-  file_bytes_ = static_cast<std::size_t>(in_.tellg());
-  in_.seekg(0);
-
-#if PSC_STORE_HAS_MMAP
-  if (mode != ReaderMode::stream && file_bytes_ > 0) {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* map = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        map_ = static_cast<const std::byte*>(map);
-        map_size_ = file_bytes_;
-      }
+  if (mapping_ != nullptr) {
+    map_ = mapping_->data();
+    file_bytes_ = mapping_->size();
+  } else {
+    in_.open(path_, std::ios::binary);
+    if (!in_) {
+      fail("cannot open file");
     }
+    in_.seekg(0, std::ios::end);
+    file_bytes_ = static_cast<std::size_t>(in_.tellg());
+    in_.seekg(0);
   }
-  if (mode == ReaderMode::mmap && map_ == nullptr) {
-    fail("mmap failed");
-  }
-#else
-  if (mode == ReaderMode::mmap) {
-    fail("mmap unsupported on this platform");
-  }
-#endif
-
-  // A throwing constructor skips the destructor, so the mapping made
-  // above must be released by hand when validation rejects the file.
-  try {
-    validate_structure();
-  } catch (...) {
-    unmap();
-    throw;
-  }
-
-  if (map_ != nullptr) {
-    in_.close();
-  }
+  validate_structure();
 }
 
 TraceFileReader::TraceFileReader(std::shared_ptr<const SharedMapping> mapping)
-    : path_(mapping != nullptr ? mapping->path() : std::string()) {
-  if (mapping == nullptr) {
+    : path_(mapping != nullptr ? mapping->path() : std::string()),
+      mapping_(std::move(mapping)) {
+  if (mapping_ == nullptr) {
     throw std::invalid_argument("TraceFileReader: null SharedMapping");
   }
-  // Borrowed bytes: both the mmap and the heap-fallback flavors of
-  // SharedMapping present one contiguous buffer, so the reader always
-  // takes its (zero-copy) mapped path; no stream state is opened.
-  mapping_ = std::move(mapping);
-  file_bytes_ = mapping_->size();
+  // Both the mmap and the heap-fallback flavors of SharedMapping present
+  // one contiguous buffer, so the reader always takes its (zero-copy)
+  // mapped path; no stream state is opened.
   map_ = mapping_->data();
-  map_size_ = file_bytes_;
+  file_bytes_ = mapping_->size();
   validate_structure();
 }
 
@@ -156,24 +114,6 @@ void TraceFileReader::validate_structure() {
   parse_footer_and_index();
   crc_checked_.assign(index_.size(), 0);
 }
-
-void TraceFileReader::unmap() noexcept {
-  if (mapping_ != nullptr) {
-    // Borrowed bytes: the SharedMapping releases them when its last
-    // reference drops, which may be long after this reader dies.
-    map_ = nullptr;
-    mapping_.reset();
-    return;
-  }
-#if PSC_STORE_HAS_MMAP
-  if (map_ != nullptr) {
-    ::munmap(const_cast<std::byte*>(map_), map_size_);
-    map_ = nullptr;
-  }
-#endif
-}
-
-TraceFileReader::~TraceFileReader() { unmap(); }
 
 void TraceFileReader::load_bytes(std::uint64_t offset,
                                  std::span<std::byte> out) {
@@ -275,7 +215,7 @@ void TraceFileReader::parse_footer_and_index() {
   // rows exactly. A v2 chunk's size depends on its codecs; here we only
   // require room for the chunk header and column directory — per-column
   // block extents are validated against index_offset_ when the chunk is
-  // opened (parse_v2_directory).
+  // opened (load_directory).
   const std::uint64_t row_bytes = 2 * block_bytes + 8 * channels_.size();
   const std::uint64_t min_chunk =
       version_ >= format_version_v2
@@ -319,29 +259,6 @@ std::size_t TraceFileReader::chunk_containing(std::size_t row) const {
   return static_cast<std::size_t>(it - index_.begin()) - 1;
 }
 
-const std::byte* TraceFileReader::chunk_base(const ChunkIndexEntry& entry,
-                                             std::size_t i) {
-  const std::size_t size = chunk_bytes(entry.rows, channels_.size());
-  if (map_ != nullptr) {
-    const std::byte* base = map_ + entry.offset;
-    // The format 8-aligns chunks, so the mapped payload serves as aligned
-    // double columns directly; a corrupt index offset falls back to the
-    // copying path rather than a misaligned load.
-    if (reinterpret_cast<std::uintptr_t>(base + chunk_header_bytes) %
-            alignof(double) ==
-        0) {
-      return base;
-    }
-  }
-  if (loaded_chunk_ != i) {
-    scratch_.resize(size);
-    load_bytes(entry.offset, scratch_);
-    loaded_chunk_ = i;
-    crc_checked_[i] = 0;  // fresh bytes: re-verify below
-  }
-  return scratch_.data();
-}
-
 ChunkView TraceFileReader::make_view(const std::byte* payload,
                                      const ChunkIndexEntry& entry) {
   ChunkView view;
@@ -352,76 +269,11 @@ ChunkView TraceFileReader::make_view(const std::byte* payload,
   return view;
 }
 
-ChunkView TraceFileReader::chunk(std::size_t i) {
-  if (version_ >= format_version_v2) {
-    return chunk_v2(i);
-  }
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::byte* base = chunk_base(entry, i);
-
-  if (!magic_matches(base, chunk_magic)) {
-    fail("corrupt chunk " + std::to_string(i) + " (bad magic)");
-  }
-  if (get_u32(base + 4) != entry.rows || get_u32(base + 8) != entry.crc32) {
-    fail("corrupt chunk " + std::to_string(i) +
-         " (header disagrees with index)");
-  }
-  if (!crc_checked_[i]) {
-    const std::size_t payload_size =
-        chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
-    if (util::crc32(base + chunk_header_bytes, payload_size) != entry.crc32) {
-      fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-    }
-    crc_checked_[i] = 1;
-  }
-  return make_view(base + chunk_header_bytes, entry);
-}
-
-// v1 chunk into caller-owned storage: zero-copy from an aligned mapping,
-// else the whole chunk lands in `storage` (validated + CRC-checked).
-ChunkView TraceFileReader::chunk_v1_into(std::size_t i,
-                                         std::vector<std::byte>& storage) {
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::size_t size = chunk_bytes(entry.rows, channels_.size());
-  const std::byte* base = nullptr;
-  bool fresh = false;
-  if (map_ != nullptr) {
-    const std::byte* mapped = map_ + entry.offset;
-    if (reinterpret_cast<std::uintptr_t>(mapped + chunk_header_bytes) %
-            alignof(double) ==
-        0) {
-      base = mapped;
-    }
-  }
-  if (base == nullptr) {
-    storage.resize(size);
-    load_bytes(entry.offset, storage);
-    base = storage.data();
-    fresh = true;  // private bytes: always verify this copy
-  }
-  if (!magic_matches(base, chunk_magic)) {
-    fail("corrupt chunk " + std::to_string(i) + " (bad magic)");
-  }
-  if (get_u32(base + 4) != entry.rows || get_u32(base + 8) != entry.crc32) {
-    fail("corrupt chunk " + std::to_string(i) +
-         " (header disagrees with index)");
-  }
-  if (fresh || !crc_checked_[i]) {
-    if (util::crc32(base + chunk_header_bytes, size - chunk_header_bytes) !=
-        entry.crc32) {
-      fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-    }
-    if (!fresh) {
-      crc_checked_[i] = 1;
-    }
-  }
-  return make_view(base + chunk_header_bytes, entry);
-}
-
-bool TraceFileReader::load_v2_directory(std::size_t i) {
+bool TraceFileReader::load_directory(std::size_t i) {
   const ChunkIndexEntry& entry = index_.at(i);
   const std::size_t columns = chunk_column_count(channels_.size());
-  const std::size_t dir_bytes = columns * column_entry_bytes;
+  const bool v2 = version_ >= format_version_v2;
+  const std::size_t dir_bytes = v2 ? columns * column_entry_bytes : 0;
 
   const std::byte* head = nullptr;
   if (map_ != nullptr) {
@@ -439,14 +291,29 @@ bool TraceFileReader::load_v2_directory(std::size_t i) {
          " (header disagrees with index)");
   }
 
+  dir_.resize(columns);
+  std::uint64_t block_off = chunk_header_bytes + dir_bytes;
+  if (!v2) {
+    // parse_footer_and_index already bounded a v1 chunk's rows by the
+    // bytes before the index, so its fixed layout needs no checks here.
+    for (std::size_t col = 0; col < columns; ++col) {
+      const std::uint64_t raw =
+          entry.rows * std::uint64_t{col < 2 ? block_bytes : 8};
+      dir_[col] = {.codec = ColumnCodec::identity,
+                   .raw_bytes = raw,
+                   .stored_bytes = raw,
+                   .offset = block_off};
+      block_off += raw;
+    }
+    return true;
+  }
+
   // Bytes this chunk may occupy before the index; parse_footer_and_index
   // already guaranteed header + directory fit, so the subtraction below
   // cannot wrap. Every stored size from the directory is tested against
   // the remaining budget in subtraction form.
   const std::uint64_t budget =
       index_offset_ - entry.offset - chunk_header_bytes - dir_bytes;
-  dir_.resize(columns);
-  std::uint64_t block_off = chunk_header_bytes + dir_bytes;
   std::uint64_t used = 0;
   bool all_identity = true;
   for (std::size_t col = 0; col < columns; ++col) {
@@ -496,37 +363,8 @@ bool TraceFileReader::load_v2_directory(std::size_t i) {
   return all_identity;
 }
 
-bool TraceFileReader::parse_v2_directory(std::size_t i,
-                                         const std::byte*& payload) {
-  const bool all_identity = load_v2_directory(i);
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::size_t dir_bytes =
-      chunk_column_count(channels_.size()) * column_entry_bytes;
-
-  // An all-identity mapped chunk stores exactly the v1 payload bytes
-  // after the directory: serve it zero-copy when aligned, CRC-checking
-  // the mapped bytes once.
-  if (all_identity && map_ != nullptr) {
-    const std::byte* mapped = map_ + entry.offset + chunk_header_bytes +
-                              dir_bytes;
-    if (reinterpret_cast<std::uintptr_t>(mapped) % alignof(double) == 0) {
-      if (!crc_checked_[i]) {
-        const std::size_t payload_size =
-            chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
-        if (util::crc32(mapped, payload_size) != entry.crc32) {
-          fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-        }
-        crc_checked_[i] = 1;
-      }
-      payload = mapped;
-      return true;
-    }
-  }
-  return false;
-}
-
-void TraceFileReader::decode_v2_chunk(std::size_t i,
-                                      std::vector<std::byte>& dest) {
+void TraceFileReader::decode_chunk(std::size_t i,
+                                   std::vector<std::byte>& dest) {
   const ChunkIndexEntry& entry = index_.at(i);
   const std::size_t rows = entry.rows;
   const std::size_t payload_size =
@@ -536,22 +374,25 @@ void TraceFileReader::decode_v2_chunk(std::size_t i,
   std::uint64_t raw_off = 0;
   for (std::size_t col = 0; col < dir_.size(); ++col) {
     const ColumnBlock& block = dir_[col];
-    const std::byte* src;
-    if (map_ != nullptr) {
-      src = map_ + entry.offset + block.offset;
-    } else {
-      comp_scratch_.resize(block.stored_bytes);
-      load_bytes(entry.offset + block.offset, comp_scratch_);
-      src = comp_scratch_.data();
-    }
     std::byte* out = dest.data() + raw_off;
     if (block.codec == ColumnCodec::identity) {
-      std::memcpy(out, src, block.raw_bytes);
-    } else if (!util::delta_bitpack_decode(
-                   src, block.stored_bytes,
-                   reinterpret_cast<double*>(out), rows)) {
-      fail("chunk " + std::to_string(i) + " column " + std::to_string(col) +
-           ": corrupt compressed block");
+      load_bytes(entry.offset + block.offset,
+                 std::span(out, block.raw_bytes));
+    } else {
+      const std::byte* src;
+      if (map_ != nullptr) {
+        src = map_ + entry.offset + block.offset;
+      } else {
+        comp_scratch_.resize(block.stored_bytes);
+        load_bytes(entry.offset + block.offset, comp_scratch_);
+        src = comp_scratch_.data();
+      }
+      if (!util::delta_bitpack_decode(src, block.stored_bytes,
+                                      reinterpret_cast<double*>(out),
+                                      rows)) {
+        fail("chunk " + std::to_string(i) + " column " +
+             std::to_string(col) + ": corrupt compressed block");
+      }
     }
     raw_off += block.raw_bytes;
   }
@@ -566,62 +407,58 @@ void TraceFileReader::decode_v2_chunk(std::size_t i,
 void TraceFileReader::set_chunk_cache(std::shared_ptr<ChunkCache> cache) {
   if (mapping_ == nullptr) {
     throw std::logic_error(
-        "TraceFileReader::set_chunk_cache: reader does not borrow a "
+        "TraceFileReader::set_chunk_cache: stream-mode reader has no "
         "SharedMapping (no stable dataset id to key the cache by)");
   }
   chunk_cache_ = std::move(cache);
-  dataset_id_ = mapping_->id();
-  cache_hold_.reset();
-}
-
-std::shared_ptr<const std::vector<std::byte>> TraceFileReader::cached_chunk(
-    std::size_t i) {
-  // The decode callback runs on this reader (dir_ is already loaded for
-  // chunk i) and only for the one caller that misses; concurrent readers
-  // of the same chunk wait inside the cache and share the result.
-  return chunk_cache_->get_or_decode(
-      dataset_id_, i,
-      [this, i](std::vector<std::byte>& dest) { decode_v2_chunk(i, dest); });
-}
-
-ChunkView TraceFileReader::chunk_v2(std::size_t i) {
-  const std::byte* payload = nullptr;
-  if (parse_v2_directory(i, payload)) {
-    return make_view(payload, index_[i]);
-  }
-  if (chunk_cache_ != nullptr) {
-    cache_hold_ = cached_chunk(i);
-    return make_view(cache_hold_->data(), index_[i]);
-  }
-  if (loaded_chunk_ != i) {
-    decode_v2_chunk(i, decode_);
-    loaded_chunk_ = i;
-  }
-  return make_view(decode_.data(), index_[i]);
-}
-
-ChunkView TraceFileReader::chunk_v2_into(std::size_t i, ChunkBuffer& buf) {
-  const std::byte* payload = nullptr;
-  if (parse_v2_directory(i, payload)) {
-    buf.cached.reset();
-    return make_view(payload, index_.at(i));
-  }
-  if (chunk_cache_ != nullptr) {
-    buf.cached = cached_chunk(i);
-    return make_view(buf.cached->data(), index_.at(i));
-  }
-  buf.cached.reset();
-  decode_v2_chunk(i, buf.bytes);
-  return make_view(buf.bytes.data(), index_.at(i));
+  own_chunk_ = no_chunk;
 }
 
 ChunkView TraceFileReader::read_chunk_into(std::size_t i, ChunkBuffer& buf) {
-  if (version_ >= format_version_v2) {
-    return chunk_v2_into(i, buf);
-  }
   buf.cached.reset();
-  ChunkView view = chunk_v1_into(i, buf.bytes);
-  return view;
+  const bool all_identity = load_directory(i);
+  const ChunkIndexEntry& entry = index_[i];
+
+  // An all-identity chunk stores exactly the decoded payload bytes after
+  // its header (and v2 directory): serve it zero-copy from an aligned
+  // mapping, CRC-checking the mapped bytes once. A corrupt index offset
+  // falls back to the copying path rather than a misaligned load.
+  if (all_identity && map_ != nullptr) {
+    const std::byte* payload = map_ + entry.offset + dir_[0].offset;
+    if (reinterpret_cast<std::uintptr_t>(payload) % alignof(double) == 0) {
+      if (!crc_checked_[i]) {
+        const std::size_t payload_size =
+            chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
+        if (util::crc32(payload, payload_size) != entry.crc32) {
+          fail("chunk " + std::to_string(i) + " payload CRC mismatch");
+        }
+        crc_checked_[i] = 1;
+      }
+      return make_view(payload, entry);
+    }
+  }
+  if (chunk_cache_ != nullptr) {
+    // The decode callback runs on this reader (dir_ is loaded for chunk
+    // i) and only for the one caller that misses; concurrent readers of
+    // the same chunk wait inside the cache and share the result.
+    buf.cached = chunk_cache_->get_or_decode(
+        mapping_->id(), i,
+        [this, i](std::vector<std::byte>& dest) { decode_chunk(i, dest); });
+    return make_view(buf.cached->data(), entry);
+  }
+  decode_chunk(i, buf.bytes);
+  return make_view(buf.bytes.data(), entry);
+}
+
+ChunkView TraceFileReader::chunk(std::size_t i) {
+  if (own_chunk_ != i) {
+    // Forget the old chunk first: a read that throws must not leave a
+    // memo naming bytes it has half overwritten.
+    own_chunk_ = no_chunk;
+    own_view_ = read_chunk_into(i, own_);
+    own_chunk_ = i;
+  }
+  return own_view_;
 }
 
 std::vector<TraceFileReader::ColumnStats> TraceFileReader::column_stats() {
@@ -633,18 +470,7 @@ std::vector<TraceFileReader::ColumnStats> TraceFileReader::column_stats() {
     stats[2 + c].name = channels_[c].str();
   }
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    const std::uint64_t rows = index_[i].rows;
-    if (version_ < format_version_v2) {
-      // v1 columns are always identity with a fixed rows->bytes mapping.
-      for (std::size_t col = 0; col < columns; ++col) {
-        const std::uint64_t bytes =
-            rows * (col < 2 ? std::uint64_t{block_bytes} : std::uint64_t{8});
-        stats[col].raw_bytes += bytes;
-        stats[col].stored_bytes += bytes;
-      }
-      continue;
-    }
-    load_v2_directory(i);
+    load_directory(i);
     for (std::size_t col = 0; col < columns; ++col) {
       stats[col].raw_bytes += dir_[col].raw_bytes;
       stats[col].stored_bytes += dir_[col].stored_bytes;

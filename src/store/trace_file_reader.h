@@ -1,13 +1,14 @@
 // PSTR reader: validates and decodes the chunked binary trace store
 // written by store::TraceFileWriter (layout in store/pstr_format.h).
 //
-// On POSIX the file is memory-mapped and chunks are exposed as zero-copy
-// ChunkViews — aligned spans straight into the mapping (the format
-// 8-aligns every column), so replaying a 100 GB capture touches only the
-// pages the analysis walks. Elsewhere, or with ReaderMode::stream, a
-// buffered-read fallback materializes one chunk at a time into a
-// reusable scratch buffer: resident memory is a single chunk regardless
-// of file size, which is what lets replay campaigns run out-of-core.
+// On POSIX the file is memory-mapped through a store::SharedMapping and
+// chunks are exposed as zero-copy ChunkViews — aligned spans straight
+// into the mapping (the format 8-aligns every column), so replaying a
+// 100 GB capture touches only the pages the analysis walks. Elsewhere,
+// or with ReaderMode::stream, a buffered-read fallback materializes one
+// chunk at a time into a reusable buffer: resident memory is a single
+// chunk regardless of file size, which is what lets replay campaigns run
+// out-of-core.
 //
 // Every structural failure is a loud StoreError, never UB or a silent
 // short read: bad magic, unsupported version, truncated file, corrupt
@@ -15,7 +16,7 @@
 // each chunk) all name the file and the violation.
 //
 // Readers are single-threaded; sharded replay gives each shard its own
-// reader over a disjoint chunk range (see store/file_trace_source.h).
+// reader over its own row range (see store/file_trace_source.h).
 #pragma once
 
 #include <cstddef>
@@ -37,15 +38,14 @@ namespace psc::store {
 class ChunkCache;  // store/chunk_cache.h
 
 enum class ReaderMode {
-  automatic,  // mmap where the platform supports it, else stream; the
-              // PSC_NO_MMAP env flag forces the stream fallback
-  mmap,       // require the memory-mapped path (StoreError if unsupported)
+  automatic,  // map through SharedMapping::map where it can, else stream
+              // (so the PSC_NO_MMAP env flag forces the stream fallback)
   stream,     // force the buffered-read fallback (one chunk resident)
 };
 
 // Decoded view of one chunk: column spans over either the file mapping
-// (zero-copy) or the reader's scratch buffer. Valid until the next
-// chunk()/read_rows() call on the owning reader.
+// (zero-copy) or a decoded-chunk buffer. A chunk() view is valid until
+// the next chunk()/read_rows() call on the owning reader.
 class ChunkView {
  public:
   std::size_t rows() const noexcept { return rows_; }
@@ -89,7 +89,6 @@ class TraceFileReader {
   // file again: N readers (one per job or shard) share one mapping of
   // the dataset. The reader keeps a reference, so the bytes outlive it.
   explicit TraceFileReader(std::shared_ptr<const SharedMapping> mapping);
-  ~TraceFileReader();
 
   TraceFileReader(const TraceFileReader&) = delete;
   TraceFileReader& operator=(const TraceFileReader&) = delete;
@@ -106,15 +105,16 @@ class TraceFileReader {
   std::size_t chunk_capacity() const noexcept { return chunk_capacity_; }
   std::size_t file_bytes() const noexcept { return file_bytes_; }
 
-  // True when the file is memory-mapped (the zero-copy path).
-  bool mapped() const noexcept { return map_ != nullptr; }
-  // Bytes of chunk data the reader itself keeps resident: at most one
-  // chunk's scratch (stream mode) plus one decoded chunk and its
-  // compressed bytes (v2); 0 when mapped v1 (pages belong to the OS
-  // cache). Bounded by a small constant number of chunks regardless of
-  // file size — the out-of-core property.
+  // True when the reader reads through a SharedMapping (the zero-copy
+  // path).
+  bool mapped() const noexcept { return mapping_ != nullptr; }
+  // Bytes of chunk data the reader itself keeps resident: the chunk()
+  // buffer (one decoded chunk) plus one compressed column block (stream
+  // mode, v2); 0 while chunk() has only served zero-copy mapped chunks
+  // (pages belong to the OS cache). Bounded by a small constant number
+  // of chunks regardless of file size — the out-of-core property.
   std::size_t resident_bytes() const noexcept {
-    return scratch_.size() + decode_.size() + comp_scratch_.size();
+    return own_.bytes.size() + comp_scratch_.size();
   }
 
   std::size_t chunk_rows(std::size_t i) const { return index_.at(i).rows; }
@@ -124,22 +124,22 @@ class TraceFileReader {
   // Index of the chunk holding global row `row` (row < trace_count()).
   std::size_t chunk_containing(std::size_t row) const;
 
-  // Decodes chunk `i`, verifying its CRC on first access; throws
-  // StoreError on corruption. The view is invalidated by the next
-  // chunk()/read_rows() call.
+  // read_chunk_into(i) on a reader-owned buffer, remembering the last
+  // index so repeated calls for one chunk decode it once; throws
+  // StoreError on corruption (and again on every retry). The view is
+  // invalidated by the next chunk()/read_rows() call.
   ChunkView chunk(std::size_t i);
 
-  // Routes v2 chunk decodes through a shared decoded-chunk cache keyed
-  // by (mapping id, chunk index): N readers over one SharedMapping decode
+  // Routes chunk decodes through a shared decoded-chunk cache keyed by
+  // (mapping id, chunk index): N readers over one SharedMapping decode
   // each compressed chunk once and share the immutable bytes. Identity
   // all-column chunks keep their zero-copy mapped path and never touch
-  // the cache. Only SharedMapping-backed readers can attach a cache (the
-  // key needs a stable dataset id); throws std::logic_error otherwise.
+  // the cache. Every mapped reader has a SharedMapping id to key by; a
+  // stream-mode reader has none and throws std::logic_error.
   void set_chunk_cache(std::shared_ptr<ChunkCache> cache);
 
-  // Caller-owned decoded-chunk storage for read_chunk_into: lets the
-  // prefetcher keep two chunks alive while the reader's internal
-  // resident chunk advances.
+  // Decoded-chunk storage for read_chunk_into: lets the prefetcher keep
+  // two chunks alive while the reader's own chunk() buffer advances.
   struct ChunkBuffer {
     std::vector<std::byte> bytes;
     // Pin on the cache entry backing the last view served from a shared
@@ -148,13 +148,14 @@ class TraceFileReader {
     std::shared_ptr<const std::vector<std::byte>> cached;
   };
 
-  // Like chunk(), but materializes into `buf` when the chunk cannot be
-  // served zero-copy from the mapping, leaving the reader's internal
-  // resident chunk untouched. The view stays valid until `buf` is
-  // reused, even across later chunk()/read_chunk_into() calls — the
-  // contract the double-buffered prefetcher needs. Not thread-safe:
-  // callers serialize all access to the reader (see
-  // store/chunk_prefetcher.h).
+  // The one chunk read: validates chunk `i` and serves it zero-copy from
+  // the mapping when it is stored all-identity and aligned (its CRC
+  // checked on first access), else through the attached cache, else
+  // decoded into `buf` (CRC checked on every decode). Throws StoreError
+  // on corruption. The view stays valid until `buf` is reused, even
+  // across later chunk()/read_chunk_into() calls — the contract the
+  // double-buffered prefetcher needs. Not thread-safe: callers serialize
+  // all access to the reader (see store/chunk_prefetcher.h).
   ChunkView read_chunk_into(std::size_t i, ChunkBuffer& buf);
 
   // Appends rows [begin, begin + count) to `batch`, seeking through the
@@ -179,7 +180,9 @@ class TraceFileReader {
   std::vector<ColumnStats> column_stats();
 
  private:
-  // Parsed v2 column directory of one chunk.
+  // One column block of a chunk: parsed from a v2 column directory, or
+  // the fixed identity layout of a v1 chunk (a v1 chunk reads as an
+  // all-identity v2 chunk without a directory).
   struct ColumnBlock {
     ColumnCodec codec = ColumnCodec::identity;
     std::uint64_t raw_bytes = 0;
@@ -187,53 +190,42 @@ class TraceFileReader {
     std::uint64_t offset = 0;  // of the column block, relative to the chunk
   };
 
+  static constexpr std::size_t no_chunk = static_cast<std::size_t>(-1);
+
   [[noreturn]] void fail(const std::string& what) const;
   void validate_structure();
-  void unmap() noexcept;
   void parse_header(const std::byte* data, std::size_t size);
   void parse_footer_and_index();
   void load_bytes(std::uint64_t offset, std::span<std::byte> out);
-  const std::byte* chunk_base(const ChunkIndexEntry& entry, std::size_t i);
-  ChunkView chunk_v1_into(std::size_t i, std::vector<std::byte>& storage);
-  ChunkView chunk_v2(std::size_t i);
-  ChunkView chunk_v2_into(std::size_t i, ChunkBuffer& buf);
-  // Fetches chunk i's decoded payload through the attached cache; the
-  // chunk's directory (dir_) must already be loaded.
-  std::shared_ptr<const std::vector<std::byte>> cached_chunk(std::size_t i);
-  // Loads + validates chunk i's header and column directory into dir_;
+  // Loads + validates chunk i's header and column blocks into dir_;
   // returns true when every column is stored identity. No payload bytes
   // are touched.
-  bool load_v2_directory(std::size_t i);
-  // Loads + validates chunk i's header and column directory; returns
-  // true with `payload` set when the all-identity mapped chunk can be
-  // served zero-copy (CRC checked once).
-  bool parse_v2_directory(std::size_t i, const std::byte*& payload);
-  void decode_v2_chunk(std::size_t i, std::vector<std::byte>& dest);
+  bool load_directory(std::size_t i);
+  // Decodes chunk i's payload into `dest` and checks its CRC; the
+  // chunk's blocks (dir_) must already be loaded.
+  void decode_chunk(std::size_t i, std::vector<std::byte>& dest);
   ChunkView make_view(const std::byte* payload, const ChunkIndexEntry& entry);
 
   std::string path_;
   std::size_t file_bytes_ = 0;
 
-  // mmap path (null when streaming).
-  const std::byte* map_ = nullptr;
-  std::size_t map_size_ = 0;
-  // Set when map_ points into a SharedMapping this reader does not own.
+  // Mapped path: the bytes (null when streaming) and their owner.
   std::shared_ptr<const SharedMapping> mapping_;
+  const std::byte* map_ = nullptr;
 
-  // stream path.
+  // Stream path.
   std::ifstream in_;
-  std::vector<std::byte> scratch_;
-  std::size_t loaded_chunk_ = static_cast<std::size_t>(-1);
 
-  // Shared decoded-chunk cache (optional; SharedMapping-backed readers
-  // only). cache_hold_ pins the entry behind the last chunk() view.
+  // Shared decoded-chunk cache (optional; mapped readers only).
   std::shared_ptr<ChunkCache> chunk_cache_;
-  std::uint64_t dataset_id_ = 0;
-  std::shared_ptr<const std::vector<std::byte>> cache_hold_;
 
-  // v2 path: decoded resident chunk (both modes), compressed staging and
-  // the parsed directory of the chunk being opened.
-  std::vector<std::byte> decode_;
+  // chunk()'s buffer and the index of the chunk it last served.
+  ChunkBuffer own_;
+  std::size_t own_chunk_ = no_chunk;
+  ChunkView own_view_;
+
+  // Compressed staging (stream mode), the raw chunk header + directory
+  // (stream mode), and the parsed blocks of the chunk being opened.
   std::vector<std::byte> comp_scratch_;
   std::vector<std::byte> dir_scratch_;
   std::vector<ColumnBlock> dir_;

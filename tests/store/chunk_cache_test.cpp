@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -297,9 +298,30 @@ TEST(ChunkCacheReader, TinyCacheStillServesBitIdenticalBytes) {
   EXPECT_GT(cache->stats().evictions, 0u);
 }
 
-TEST(ChunkCacheReader, FileBackedReaderRejectsCache) {
+TEST(ChunkCacheReader, PathOpenedReaderDecodesThroughCache) {
+  // Covers the mapped path, which PSC_NO_MMAP turns off.
+  ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
+  const std::string path = write_compressed("chunk_cache_path.pstr");
+  const auto cache = std::make_shared<ChunkCache>(std::size_t{64} << 20);
+
+  TraceFileReader plain(path);  // private decodes, the reference
+  TraceFileReader cached(path);
+  ASSERT_TRUE(cached.mapped());
+  cached.set_chunk_cache(cache);
+
+  for (std::size_t i = 0; i < plain.chunk_count(); ++i) {
+    SCOPED_TRACE("chunk " + std::to_string(i));
+    expect_chunks_bit_identical(plain.chunk(i), cached.chunk(i));
+  }
+  // Every chunk is compressed, so each one was decoded through the
+  // cache exactly once.
+  EXPECT_EQ(cache->stats().misses, plain.chunk_count());
+  EXPECT_EQ(cache->stats().hits, 0u);
+}
+
+TEST(ChunkCacheReader, StreamReaderRejectsCache) {
   const std::string path = write_compressed("chunk_cache_reject.pstr");
-  TraceFileReader reader(path);  // owns its mapping: no stable dataset id
+  TraceFileReader reader(path, ReaderMode::stream);  // no dataset id
   EXPECT_THROW(
       reader.set_chunk_cache(std::make_shared<ChunkCache>(1 << 20)),
       std::logic_error);

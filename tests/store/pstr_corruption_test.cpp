@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "store/file_trace_source.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
 #include "util/crc32.h"
@@ -115,25 +116,42 @@ TEST(PstrCorruption, TruncatedTail) {
   }
 }
 
+// A valid file whose chunk 1 carries one flipped payload bit.
+std::string write_flipped_chunk1_file(const std::string& name) {
+  const std::string path = write_valid_file(name);
+  auto bytes = slurp(path);
+  // Chunks are contiguous after the header; find chunk 1's header by
+  // scanning for the second "CHNK", then flip one payload bit.
+  std::size_t victim_offset = bytes.size();
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i + 4 <= bytes.size(); ++i) {
+    if (bytes[i] == 'C' && bytes[i + 1] == 'H' && bytes[i + 2] == 'N' &&
+        bytes[i + 3] == 'K' && ++seen == 2) {
+      victim_offset = i + chunk_header_bytes + 40;  // inside the payload
+      break;
+    }
+  }
+  EXPECT_LT(victim_offset, bytes.size());
+  bytes.at(victim_offset) = static_cast<char>(bytes[victim_offset] ^ 0x10);
+  dump(path, bytes);
+  return path;
+}
+
+// Runs `read` and expects a StoreError naming a CRC mismatch.
+template <typename Read>
+void expect_crc_mismatch(Read&& read) {
+  try {
+    read();
+    FAIL() << "expected CRC mismatch";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PstrCorruption, ChunkPayloadBitFlip) {
   for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    const std::string path = write_valid_file("payload.pstr");
-    auto bytes = slurp(path);
-    // Chunks are contiguous after the header; find chunk 1's header by
-    // scanning for the second "CHNK", then flip one payload bit.
-    std::size_t victim_offset = bytes.size();
-    std::size_t seen = 0;
-    for (std::size_t i = 0; i + 4 <= bytes.size(); ++i) {
-      if (bytes[i] == 'C' && bytes[i + 1] == 'H' && bytes[i + 2] == 'N' &&
-          bytes[i + 3] == 'K' && ++seen == 2) {
-        victim_offset = i + chunk_header_bytes + 40;  // inside the payload
-        break;
-      }
-    }
-    ASSERT_LT(victim_offset, bytes.size());
-    bytes[victim_offset] = static_cast<char>(bytes[victim_offset] ^ 0x10);
-    dump(path, bytes);
-
+    const std::string path = write_flipped_chunk1_file("payload.pstr");
     TraceFileReader reader(path, mode);
     core::TraceBatch batch(2);
     // Chunk 0 is intact and reads fine...
@@ -142,14 +160,57 @@ TEST(PstrCorruption, ChunkPayloadBitFlip) {
     // ...but touching the flipped chunk is a loud CRC error, not a wrong
     // correlation.
     batch.clear();
-    try {
-      reader.read_rows(chunk_rows, chunk_rows, batch);
-      FAIL() << "expected CRC mismatch";
-    } catch (const StoreError& e) {
-      EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
-                std::string::npos)
-          << e.what();
+    expect_crc_mismatch([&] { reader.read_rows(chunk_rows, chunk_rows, batch); });
+  }
+}
+
+// Replay must stay loud when the caller retries past a corrupt chunk:
+// every read that reaches it rethrows the chunk's StoreError, never a
+// different error or a silently shortened replay.
+TEST(PstrCorruption, CorruptChunkStaysLoudOnReplayRetry) {
+  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
+    const std::string path = write_flipped_chunk1_file("payload_retry.pstr");
+    FileTraceSource source(path, mode);
+    core::TraceBatch batch(2);
+    batch.resize(chunk_rows);
+    source.collect_batch(batch);  // chunk 0 is intact
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      SCOPED_TRACE("attempt " + std::to_string(attempt));
+      batch.resize(chunk_rows);
+      expect_crc_mismatch([&] { source.collect_batch(batch); });
+      expect_crc_mismatch([&] { source.collect(aes::Block{}); });
     }
+  }
+}
+
+// chunk() remembers the last chunk it served. A throwing chunk(i) must
+// leave no memo behind: not for i (the retry must throw again) and not
+// for the chunk before it, whose buffer the failed read overwrote.
+TEST(PstrCorruption, ChunkMemoNeverServesStaleBytes) {
+  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
+    const std::string path = write_flipped_chunk1_file("payload_memo.pstr");
+    TraceFileReader reference(path, mode);
+    core::TraceBatch expected(2);
+    reference.chunk(0).append_to(expected);
+
+    TraceFileReader reader(path, mode);
+    const auto expect_chunk0 = [&] {
+      core::TraceBatch got(2);
+      reader.chunk(0).append_to(got);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got.plaintexts()[r], expected.plaintexts()[r]) << r;
+        for (std::size_t c = 0; c < 2; ++c) {
+          ASSERT_EQ(got.column(c)[r], expected.column(c)[r]) << r;
+        }
+      }
+    };
+    expect_chunk0();
+    expect_crc_mismatch([&] { reader.chunk(1); });
+    expect_crc_mismatch([&] { reader.chunk(1); });
+    expect_chunk0();
+    reader.chunk(2);
+    expect_chunk0();
   }
 }
 

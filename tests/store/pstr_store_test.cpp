@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,8 @@ TEST(PstrStore, ArbitraryRowRangesSeekThroughTheIndex) {
 }
 
 TEST(PstrStore, MappedReaderServesZeroCopyChunks) {
+  // Covers the mapped path, which PSC_NO_MMAP turns off.
+  ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
   const std::string path = temp_path("zerocopy.pstr");
   util::Xoshiro256 rng(4);
   const core::TraceBatch data = random_batch(rng, 96, 2);
@@ -157,7 +160,7 @@ TEST(PstrStore, MappedReaderServesZeroCopyChunks) {
   writer.append(data);
   writer.finalize();
 
-  TraceFileReader reader(path, ReaderMode::mmap);
+  TraceFileReader reader(path);
   ASSERT_TRUE(reader.mapped());
   const ChunkView view = reader.chunk(1);
   EXPECT_EQ(view.rows(), 32u);

@@ -18,6 +18,7 @@
 #include "core/analysis_sink.h"
 #include "core/trace_source.h"
 #include "store/file_trace_source.h"
+#include "store/shared_mapping.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
 #include "util/rng.h"
@@ -283,28 +284,25 @@ TEST(PstrV2, DirectoryCorruptionIsLoudError) {
   }
 }
 
-TEST(PstrV2, PrefetchOnAndOffProduceBitIdenticalBatches) {
+TEST(PstrV2, PrefetchedReplayMatchesReadRowsInBothReaderModes) {
+  // Covers the mapped path, which PSC_NO_MMAP turns off.
+  ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
   const core::TraceBatch original = quantized_batch(23);
   const std::string path = write_v2_file("v2_prefetch.pstr", original);
 
-  core::TraceBatch with_prefetch(n_channels);
-  core::TraceBatch without(n_channels);
-  {
-    FileTraceSource source(path, FileSourceOptions{
-                                     .prefetch = PrefetchMode::on});
-    EXPECT_TRUE(source.prefetch_enabled());
-    with_prefetch.resize(rows);
-    source.collect_batch(with_prefetch);
+  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
+    core::TraceBatch read(n_channels);
+    TraceFileReader(path, mode).read_rows(0, rows, read);
+
+    FileTraceSource source(path, mode);
+    EXPECT_EQ(source.reader().mapped(), mode == ReaderMode::automatic);
+    core::TraceBatch replayed(n_channels);
+    replayed.resize(rows);
+    source.collect_batch(replayed);
+
+    expect_batches_bit_identical(replayed, read);
+    expect_batches_bit_identical(replayed, original);
   }
-  {
-    FileTraceSource source(path, FileSourceOptions{
-                                     .prefetch = PrefetchMode::off});
-    EXPECT_FALSE(source.prefetch_enabled());
-    without.resize(rows);
-    source.collect_batch(without);
-  }
-  expect_batches_bit_identical(with_prefetch, without);
-  expect_batches_bit_identical(with_prefetch, original);
 }
 
 TEST(PstrV2, NoMmapEnvForcesStreamFallback) {
@@ -328,13 +326,18 @@ TEST(PstrV2, NoMmapEnvForcesStreamFallback) {
     source.collect_batch(replayed);
     expect_batches_bit_identical(replayed, original);
 
-    // Asking for mmap explicitly still maps: the env knob only steers
-    // `automatic`.
-    TraceFileReader mapped_reader(path, ReaderMode::mmap);
-    EXPECT_TRUE(mapped_reader.mapped());
+    // The map-only factory refuses as well, while a SharedMapping still
+    // opens as one heap-loaded copy.
+    EXPECT_EQ(SharedMapping::map(path), nullptr);
+    const auto heap = SharedMapping::open(path);
+    EXPECT_FALSE(heap->mmap_backed());
+    EXPECT_TRUE(TraceFileReader(heap).mapped());
   }
   ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
   EXPECT_TRUE(TraceFileReader(path).mapped());
+  const auto mapped = SharedMapping::map(path);
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_TRUE(mapped->mmap_backed());
 }
 
 void expect_results_identical(const core::ModelResult& a,
@@ -409,8 +412,7 @@ TEST(PstrV2, ReplayedCpaFromV2FileBitIdenticalToLiveRecording) {
   EXPECT_LT(stored_bytes * 2, raw_bytes);
 
   for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    FileTraceSource replay(
-        path, FileSourceOptions{.mode = mode, .prefetch = PrefetchMode::on});
+    FileTraceSource replay(path, mode);
     EXPECT_EQ(replay.reader().format_version(), format_version_v2);
     ASSERT_EQ(replay.remaining(), total);
     util::Xoshiro256 unused_rng(0);  // replay returns recorded plaintexts
